@@ -386,6 +386,19 @@ Verdict RunDatalog(const ParamSystem& system,
     dv = DatalogVerify(prep.simpl, opts);
     v.telemetry.SetGauge(metric::kPhaseSolveMs, MsSince(start));
   }
+  const bool threaded = dv.parallel.threads > 1;
+  v.telemetry.SetGauge(
+      threaded ? metric::kPhaseEnumerateCpuMs : metric::kPhaseEnumerateMs,
+      dv.phases.enumerate_ms);
+  v.telemetry.SetGauge(
+      threaded ? metric::kPhaseMakepCpuMs : metric::kPhaseMakepMs,
+      dv.phases.makep_ms);
+  v.telemetry.SetGauge(
+      threaded ? metric::kPhaseDloptCpuMs : metric::kPhaseDloptMs,
+      dv.phases.dlopt_ms);
+  v.telemetry.SetGauge(
+      threaded ? metric::kPhaseEvalCpuMs : metric::kPhaseEvalMs,
+      dv.phases.eval_ms);
   ExportDatalogStats(dv, v.telemetry);
   v.width_report = dv.width_report;
   if (dv.deadline_hit) {

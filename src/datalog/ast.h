@@ -96,6 +96,10 @@ class Program {
   Sym ConstSym(const std::string& name) { return consts_.Intern(name); }
   // Interns an integer constant.
   Sym IntSym(long long v) { return consts_.Intern(std::to_string(v)); }
+  // Drops the predicates numbered n and up. The caller guarantees that no
+  // rule mentions them (makeP's encoder swaps per-guess predicates this
+  // way on a program that otherwise stays put).
+  void TruncatePreds(std::size_t n) { preds_.resize(n); }
 
   void AddRule(Rule rule) { rules_.push_back(std::move(rule)); }
   void AddFact(Atom atom) { rules_.push_back(Rule{std::move(atom), {}, {}}); }
@@ -103,6 +107,14 @@ class Program {
   // untouched. Used by the dlopt transforms, which rewrite rules over the
   // original symbol numbering.
   void SetRules(std::vector<Rule> rules) { rules_ = std::move(rules); }
+  // A program with this one's predicate and constant tables and `rules`.
+  Program WithRules(std::vector<Rule> rules) const {
+    Program out;
+    out.preds_ = preds_;
+    out.consts_ = consts_;
+    out.rules_ = std::move(rules);
+    return out;
+  }
 
   std::size_t num_preds() const { return preds_.size(); }
   const PredInfo& pred(PredId p) const { return preds_[p]; }

@@ -1,5 +1,6 @@
 #include "dlopt/optimize.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <unordered_map>
@@ -38,54 +39,71 @@ std::string DlOptStats::ToString() const {
 namespace {
 
 // Per-predicate, per-position demanded constants; ⊤ ("any value") as soon
-// as some occurrence binds the position with a variable.
-struct Demand {
-  std::vector<std::vector<bool>> top;                     // [pred][pos]
-  std::vector<std::vector<std::unordered_set<dl::Sym>>> consts;
-
-  explicit Demand(const dl::Program& prog) {
-    top.resize(prog.num_preds());
-    consts.resize(prog.num_preds());
+// as some occurrence binds the position with a variable. Positions are
+// numbered flat (slot = first slot of the predicate + position); the
+// demanded (slot, constant) pairs are collected, then sorted for lookup.
+class Demand {
+ public:
+  explicit Demand(const dl::Program& prog) : first_slot_(prog.num_preds()) {
+    std::size_t slots = 0;
     for (std::size_t p = 0; p < prog.num_preds(); ++p) {
-      top[p].assign(prog.pred(p).arity, false);
-      consts[p].resize(prog.pred(p).arity);
+      first_slot_[p] = slots;
+      slots += prog.pred(p).arity;
     }
+    top_.assign(slots, 0);
   }
 
   void AddUse(const dl::Atom& a) {
+    const std::size_t first = first_slot_[a.pred];
     for (std::size_t i = 0; i < a.args.size(); ++i) {
       if (a.args[i].kind == dl::Term::Kind::kConst) {
-        consts[a.pred][i].insert(a.args[i].val);
+        consts_.push_back(Key(first + i, a.args[i].val));
       } else {
-        top[a.pred][i] = true;
+        top_[first + i] = 1;
       }
     }
   }
 
+  // Call once every use is added, before HeadDemanded.
+  void Seal() { std::sort(consts_.begin(), consts_.end()); }
+
   // A head deriving `a` can be consumed: every constant head position is
   // demanded.
   bool HeadDemanded(const dl::Atom& a) const {
+    const std::size_t first = first_slot_[a.pred];
     for (std::size_t i = 0; i < a.args.size(); ++i) {
       if (a.args[i].kind != dl::Term::Kind::kConst) continue;
-      if (top[a.pred][i]) continue;
-      if (consts[a.pred][i].count(a.args[i].val) == 0) return false;
+      if (top_[first + i]) continue;
+      if (!std::binary_search(consts_.begin(), consts_.end(),
+                              Key(first + i, a.args[i].val))) {
+        return false;
+      }
     }
     return true;
   }
+
+ private:
+  static std::uint64_t Key(std::size_t slot, dl::Sym sym) {
+    return (static_cast<std::uint64_t>(slot) << 32) | sym;
+  }
+
+  std::vector<std::size_t> first_slot_;  // [pred]
+  std::vector<char> top_;                // [slot]
+  std::vector<std::uint64_t> consts_;    // (slot, constant) keys
 };
 
 class Optimizer {
  public:
-  Optimizer(const dl::Program& prog, const dl::Atom& goal,
-            const DlOptOptions& options)
+  Optimizer(const dl::Program& prog, std::span<const dl::Rule* const> rules,
+            const dl::Atom& goal, const DlOptOptions& options)
       : prog_(prog),
         goal_(goal),
         options_(options),
-        rules_(prog.rules()) {
+        rules_(rules.begin(), rules.end()) {
     cause_.assign(rules_.size(), RemovalCause::kKept);
   }
 
-  OptimizeResult Run() {
+  RuleListResult Run() {
     DlOptStats stats;
     stats.rules_before = rules_.size();
     stats.preds_before = MentionedPreds();
@@ -140,13 +158,11 @@ class Optimizer {
     }
     while (changed) changed = cheap_passes();
 
-    OptimizeResult result{prog_, std::move(stats), {}};
-    std::vector<dl::Rule> rules;
+    RuleListResult result{{}, std::move(stats), {}};
     for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (Alive(i)) rules.push_back(rules_[i]);
+      if (Alive(i)) result.kept.push_back(*rules_[i]);
     }
-    result.stats.rules_after = rules.size();
-    result.prog.SetRules(std::move(rules));
+    result.stats.rules_after = result.kept.size();
     result.stats.preds_after = MentionedPreds();
     result.cause = std::move(cause_);
     return result;
@@ -160,7 +176,7 @@ class Optimizer {
     std::vector<bool> seen(prog_.num_preds(), false);
     for (std::size_t i = 0; i < cause_.size(); ++i) {
       if (!Alive(i)) continue;
-      const dl::Rule& r = rules_[i];
+      const dl::Rule& r = *rules_[i];
       seen[r.head.pred] = true;
       for (const dl::Atom& a : r.body) seen[a.pred] = true;
     }
@@ -177,7 +193,7 @@ class Optimizer {
       grew = false;
       for (std::size_t i = 0; i < cause_.size(); ++i) {
         if (!Alive(i)) continue;
-        const dl::Rule& r = rules_[i];
+        const dl::Rule& r = *rules_[i];
         if (productive[r.head.pred]) continue;
         bool all = true;
         for (const dl::Atom& a : r.body) {
@@ -195,7 +211,7 @@ class Optimizer {
     bool changed = false;
     for (std::size_t i = 0; i < cause_.size(); ++i) {
       if (!Alive(i)) continue;
-      for (const dl::Atom& a : rules_[i].body) {
+      for (const dl::Atom& a : rules_[i]->body) {
         if (!productive[a.pred]) {
           cause_[i] = RemovalCause::kUnproductive;
           ++*count;
@@ -208,19 +224,30 @@ class Optimizer {
   }
 
   bool DropUnreachable(std::size_t* count) {
-    std::vector<bool> reach(prog_.num_preds(), false);
-    std::deque<dl::PredId> work{goal_.pred};
-    reach[goal_.pred] = true;
-    // Backward reachability over alive rules only.
-    std::vector<std::vector<std::size_t>> by_head(prog_.num_preds());
+    const std::size_t np = prog_.num_preds();
+    // Alive rules grouped by head predicate: rules of p are
+    // by_head[head_start[p] .. head_start[p + 1]).
+    std::vector<std::size_t> head_start(np + 1, 0);
     for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (Alive(i)) by_head[rules_[i].head.pred].push_back(i);
+      if (Alive(i)) ++head_start[rules_[i]->head.pred + 1];
     }
+    for (std::size_t p = 0; p < np; ++p) head_start[p + 1] += head_start[p];
+    std::vector<std::size_t> by_head(head_start[np]);
+    {
+      std::vector<std::size_t> fill(head_start.begin(), head_start.end() - 1);
+      for (std::size_t i = 0; i < cause_.size(); ++i) {
+        if (Alive(i)) by_head[fill[rules_[i]->head.pred]++] = i;
+      }
+    }
+    // Backward reachability over alive rules only.
+    std::vector<bool> reach(np, false);
+    std::vector<dl::PredId> work{goal_.pred};
+    reach[goal_.pred] = true;
     while (!work.empty()) {
-      const dl::PredId p = work.front();
-      work.pop_front();
-      for (std::size_t i : by_head[p]) {
-        for (const dl::Atom& a : rules_[i].body) {
+      const dl::PredId p = work.back();
+      work.pop_back();
+      for (std::size_t k = head_start[p]; k < head_start[p + 1]; ++k) {
+        for (const dl::Atom& a : rules_[by_head[k]]->body) {
           if (!reach[a.pred]) {
             reach[a.pred] = true;
             work.push_back(a.pred);
@@ -230,7 +257,7 @@ class Optimizer {
     }
     bool changed = false;
     for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (Alive(i) && !reach[rules_[i].head.pred]) {
+      if (Alive(i) && !reach[rules_[i]->head.pred]) {
         cause_[i] = RemovalCause::kUnreachable;
         ++*count;
         changed = true;
@@ -244,11 +271,12 @@ class Optimizer {
     demand.AddUse(goal_);
     for (std::size_t i = 0; i < cause_.size(); ++i) {
       if (!Alive(i)) continue;
-      for (const dl::Atom& a : rules_[i].body) demand.AddUse(a);
+      for (const dl::Atom& a : rules_[i]->body) demand.AddUse(a);
     }
+    demand.Seal();
     bool changed = false;
     for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (Alive(i) && !demand.HeadDemanded(rules_[i].head)) {
+      if (Alive(i) && !demand.HeadDemanded(rules_[i]->head)) {
         cause_[i] = RemovalCause::kUndemanded;
         ++*count;
         changed = true;
@@ -268,16 +296,12 @@ class Optimizer {
     if (r.body.size() != 1 || !r.natives.empty()) return false;
     const dl::Atom& b = r.body[0];
     if (b.pred == r.head.pred) return false;
-    if (r.head.args.size() != b.args.size()) return false;
-    std::unordered_set<dl::VarSym> seen;
+    if (r.head.args != b.args) return false;
     for (std::size_t i = 0; i < b.args.size(); ++i) {
-      const dl::Term& h = r.head.args[i];
-      const dl::Term& t = b.args[i];
-      if (h.kind != dl::Term::Kind::kVar || t.kind != dl::Term::Kind::kVar) {
-        return false;
+      if (b.args[i].kind != dl::Term::Kind::kVar) return false;
+      for (std::size_t j = 0; j < i; ++j) {
+        if (b.args[j] == b.args[i]) return false;  // repeated variable
       }
-      if (h.val != t.val) return false;
-      if (!seen.insert(h.val).second) return false;  // repeated variable
     }
     return true;
   }
@@ -285,27 +309,29 @@ class Optimizer {
   bool DropCopyAliases(std::size_t* count) {
     bool changed = false;
     bool again = true;
+    std::vector<std::size_t> defs;
+    std::vector<std::size_t> def_rule;
     while (again) {
       again = false;
       // Defining-rule census over the alive rules (facts included).
-      std::vector<std::size_t> defs(prog_.num_preds(), 0);
-      std::vector<std::size_t> def_rule(prog_.num_preds(), 0);
+      defs.assign(prog_.num_preds(), 0);
+      def_rule.assign(prog_.num_preds(), 0);
       for (std::size_t i = 0; i < cause_.size(); ++i) {
         if (!Alive(i)) continue;
-        ++defs[rules_[i].head.pred];
-        def_rule[rules_[i].head.pred] = i;
+        ++defs[rules_[i]->head.pred];
+        def_rule[rules_[i]->head.pred] = i;
       }
       for (std::size_t p = 0; p < prog_.num_preds(); ++p) {
         if (defs[p] != 1 || p == goal_.pred) continue;
         const std::size_t i = def_rule[p];
-        if (!IsIdentityCopy(rules_[i])) continue;
-        const dl::PredId q = rules_[i].body[0].pred;
+        if (!IsIdentityCopy(*rules_[i])) continue;
+        const dl::PredId q = rules_[i]->body[0].pred;
         cause_[i] = RemovalCause::kCopyAliased;
         ++*count;
         for (std::size_t j = 0; j < cause_.size(); ++j) {
           if (!Alive(j)) continue;
-          for (dl::Atom& a : rules_[j].body) {
-            if (a.pred == p) a.pred = q;
+          for (std::size_t b = 0; b < rules_[j]->body.size(); ++b) {
+            if (rules_[j]->body[b].pred == p) Writable(j).body[b].pred = q;
           }
         }
         changed = again = true;
@@ -320,7 +346,7 @@ class Optimizer {
     bool changed = false;
     for (std::size_t i = 0; i < cause_.size(); ++i) {
       if (!Alive(i)) continue;
-      if (!seen.insert(CanonicalRuleKey(rules_[i])).second) {
+      if (!seen.insert(CanonicalRuleKey(*rules_[i])).second) {
         cause_[i] = RemovalCause::kDuplicate;
         ++*count;
         changed = true;
@@ -332,7 +358,7 @@ class Optimizer {
   bool DropSubsumed(std::size_t* count) {
     std::unordered_map<dl::PredId, std::vector<std::size_t>> groups;
     for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (Alive(i)) groups[rules_[i].head.pred].push_back(i);
+      if (Alive(i)) groups[rules_[i]->head.pred].push_back(i);
     }
     bool changed = false;
     for (const auto& [pred, members] : groups) {
@@ -344,7 +370,7 @@ class Optimizer {
         if (!Alive(j)) continue;
         for (std::size_t i : members) {
           if (i == j || !Alive(i)) continue;
-          if (Subsumes(rules_[i], rules_[j])) {
+          if (Subsumes(*rules_[i], *rules_[j])) {
             cause_[j] = RemovalCause::kSubsumed;
             ++*count;
             changed = true;
@@ -356,23 +382,48 @@ class Optimizer {
     return changed;
   }
 
+  // Copy on write: the first rewrite of input rule i copies it into
+  // owned_ and repoints rules_[i] there.
+  dl::Rule& Writable(std::size_t i) {
+    if (copied_.empty()) copied_.assign(rules_.size(), nullptr);
+    if (copied_[i] == nullptr) {
+      copied_[i] = &owned_.emplace_back(*rules_[i]);
+      rules_[i] = copied_[i];
+    }
+    return *copied_[i];
+  }
+
   const dl::Program& prog_;
   const dl::Atom goal_;
   const DlOptOptions& options_;
-  // Working copy: aliasing rewrites these in place; indices match the
-  // input program's rule list (and cause_).
-  std::vector<dl::Rule> rules_;
+  // The rules as the passes see them, indexed like the input (and
+  // cause_): borrowed input rules, or the owned_ copies aliasing rewrote.
+  std::vector<const dl::Rule*> rules_;
+  std::deque<dl::Rule> owned_;
+  std::vector<dl::Rule*> copied_;  // per input rule: its owned_ copy
   std::vector<RemovalCause> cause_;
 };
 
 }  // namespace
 
+RuleListResult OptimizeRules(const dl::Program& tables,
+                             std::span<const dl::Rule* const> rules,
+                             const dl::Atom& goal,
+                             const DlOptOptions& options) {
+  assert(goal.pred < tables.num_preds());
+  Optimizer opt(tables, rules, goal, options);
+  return opt.Run();
+}
+
 OptimizeResult OptimizeForQuery(const dl::Program& prog,
                                 const dl::Atom& goal,
                                 const DlOptOptions& options) {
-  assert(goal.pred < prog.num_preds());
-  Optimizer opt(prog, goal, options);
-  return opt.Run();
+  std::vector<const dl::Rule*> rules;
+  rules.reserve(prog.size());
+  for (const dl::Rule& r : prog.rules()) rules.push_back(&r);
+  RuleListResult opt = OptimizeRules(prog, rules, goal, options);
+  return OptimizeResult{prog.WithRules(std::move(opt.kept)),
+                        std::move(opt.stats), std::move(opt.cause)};
 }
 
 }  // namespace rapar::dlopt

@@ -28,11 +28,18 @@
 //
 // The result shares the input's predicate and constant tables, so Sym
 // values (and the natives that capture them) stay valid.
+//
+// The core (`OptimizeRules`) works on borrowed rules: it reads the input
+// through `const Rule*`, copies a rule only when copy-rule aliasing
+// rewrites its body, and copies into its output only the survivors. The
+// Datalog verifier calls it on makeP's base + suffix rule list directly;
+// `OptimizeForQuery` wraps it for a whole program.
 #ifndef RAPAR_DLOPT_OPTIMIZE_H_
 #define RAPAR_DLOPT_OPTIMIZE_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,6 +113,21 @@ struct OptimizeResult {
 OptimizeResult OptimizeForQuery(const dl::Program& prog,
                                 const dl::Atom& goal,
                                 const DlOptOptions& options = {});
+
+// The same passes over the rule list `rules`; `tables` supplies only the
+// predicate table (its own rules are ignored). The survivors are copies,
+// in input order; the input rules are never modified.
+struct RuleListResult {
+  std::vector<dl::Rule> kept;
+  DlOptStats stats;
+  // One entry per input rule.
+  std::vector<RemovalCause> cause;
+};
+
+RuleListResult OptimizeRules(const dl::Program& tables,
+                             std::span<const dl::Rule* const> rules,
+                             const dl::Atom& goal,
+                             const DlOptOptions& options = {});
 
 }  // namespace rapar::dlopt
 

@@ -1,5 +1,6 @@
 #include "dlopt/rule_checks.h"
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
 
@@ -30,34 +31,58 @@ std::size_t NumVars(const dl::Rule& rule) {
 std::string CanonicalRuleKey(const dl::Rule& rule) {
   std::vector<std::uint32_t> renumber(NumVars(rule), UINT32_MAX);
   std::uint32_t next = 0;
+  // Built by appending in place: the optimizer keys every surviving rule
+  // of every guess.
+  std::string key;
+  key.reserve(128);
+  auto number = [&](char prefix, std::uint64_t v) {
+    key += prefix;
+    char buf[24];
+    key.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  };
   auto term = [&](const dl::Term& t) {
-    if (t.kind == dl::Term::Kind::kConst) return StrCat("c", t.val);
+    if (t.kind == dl::Term::Kind::kConst) return number('c', t.val);
     if (renumber[t.val] == UINT32_MAX) renumber[t.val] = next++;
-    return StrCat("v", renumber[t.val]);
+    number('v', renumber[t.val]);
   };
   auto atom = [&](const dl::Atom& a) {
-    std::string out = StrCat("p", a.pred, "(");
-    for (const dl::Term& t : a.args) out += term(t) + ",";
-    return out + ")";
+    number('p', a.pred);
+    key += '(';
+    for (const dl::Term& t : a.args) {
+      term(t);
+      key += ',';
+    }
+    key += ')';
   };
-  std::string key = "H" + atom(rule.head) + "|B";
-  for (const dl::Atom& a : rule.body) key += atom(a) + ";";
+  key += 'H';
+  atom(rule.head);
+  key += "|B";
+  for (const dl::Atom& a : rule.body) {
+    atom(a);
+    key += ';';
+  }
   key += "|N";
   for (const dl::Native& n : rule.natives) {
     if (n.tag.empty()) {
       // Unknown function: a key that collides with nothing (the native's
       // own address is unique per rule instance).
-      key += StrCat("?", reinterpret_cast<std::uintptr_t>(&n), ";");
+      number('?', reinterpret_cast<std::uintptr_t>(&n));
+      key += ';';
       continue;
     }
-    key += StrCat("[", n.tag, "](");
-    for (const dl::Term& t : n.inputs) key += term(t) + ",";
-    key += ")";
-    if (n.output.has_value()) {
-      const dl::Term out = dl::V(*n.output);
-      key += "->" + term(out);
+    key += '[';
+    key += n.tag;
+    key += "](";
+    for (const dl::Term& t : n.inputs) {
+      term(t);
+      key += ',';
     }
-    key += ";";
+    key += ')';
+    if (n.output.has_value()) {
+      key += "->";
+      term(dl::V(*n.output));
+    }
+    key += ';';
   }
   return key;
 }

@@ -44,6 +44,23 @@ class Deadline {
   std::chrono::steady_clock::time_point at_;
 };
 
+// Lap timer for the per-layer phase gauges (PhaseTimes).
+class PhaseClock {
+ public:
+  // Milliseconds since construction or the previous Lap.
+  double Lap() {
+    const auto now = std::chrono::steady_clock::now();
+    const double ms =
+        std::chrono::duration<double, std::milli>(now - last_).count();
+    last_ = now;
+    return ms;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point last_ =
+      std::chrono::steady_clock::now();
+};
+
 // Everything one guess contributes to the verdict. Produced by exactly one
 // worker, read only after the pool has quiesced; schedule-independent
 // except for stats.index_builds (see the header's determinism rule).
@@ -72,10 +89,10 @@ class GuessSolver {
   GuessSolver(const SimplSystem& sys, const DatalogVerifierOptions& options)
       : sys_(sys),
         options_(options),
+        encoder_(sys, MakePOptions{options.goal_message}),
         engine_(options.warm_engine != nullptr ? *options.warm_engine
                                                : own_engine_),
         fact_reuse_base_(engine_.fact_reuses()) {
-    mp_.goal_message = options.goal_message;
     eval_.max_tuples = options.max_tuples_per_query;
     eval_.engine = options.engine;
     dlopt_.trace = options.trace;
@@ -86,45 +103,55 @@ class GuessSolver {
     obs::ScopedSpan span(options_.trace, "guess");
     GuessOutcome out;
     out.evaluated = true;
-    MakePResult q = [&] {
+    PhaseClock clock;
+    const MakePInstance inst = [&] {
       obs::ScopedSpan s(options_.trace, "makep");
-      return MakeP(sys_, guess, mp_);
+      return encoder_.Encode(guess);
     }();
-    out.rules_emitted = q.prog->size();
+    out.rules_emitted = inst.size();
+    phases_.makep_ms += clock.Lap();
 
-    const dl::Program* prog = q.prog.get();
-    dlopt::OptimizeResult opt;
+    // The instance is evaluated in its base's tables, which hold exactly
+    // the predicates and constants MakeP would have emitted.
+    dl::Program& prog = *inst.tables;
     dl::JoinHints hints;
     std::optional<dlopt::PredGraph> graph;
     eval_.hints = nullptr;
     if (options_.enable_dlopt) {
       obs::ScopedSpan s(options_.trace, "dlopt");
-      opt = dlopt::OptimizeForQuery(*q.prog, q.goal, dlopt_);
+      rules_.clear();
+      inst.AppendRules(&rules_);
+      dlopt::RuleListResult opt =
+          dlopt::OptimizeRules(prog, rules_, inst.goal, dlopt_);
       out.dlopt = opt.stats;
-      prog = &opt.prog;
+      prog.SetRules(std::move(opt.kept));
       // The width/SCC classification doubles as the engine's join-order
       // growth hint (EDB < non-recursive IDB < recursive IDB).
-      graph.emplace(dlopt::PredGraph::Build(*prog));
+      graph.emplace(dlopt::PredGraph::Build(prog));
       hints = dlopt::MakeJoinHints(*graph);
       eval_.hints = &hints;
+    } else {
+      prog.SetRules(inst.CopyRules());
     }
-    out.rules_after = prog->size();
+    out.rules_after = prog.size();
     if (want_width_report) {
       // Reuse the join-hint graph instead of building a second one for
       // the report (they describe the same optimized program).
-      if (!graph.has_value()) graph.emplace(dlopt::PredGraph::Build(*prog));
-      out.width_report = dlopt::AnalyzeWidth(*prog, *graph, q.goal.pred)
-                             .ToString(*prog, *graph);
+      if (!graph.has_value()) graph.emplace(dlopt::PredGraph::Build(prog));
+      out.width_report = dlopt::AnalyzeWidth(prog, *graph, inst.goal.pred)
+                             .ToString(prog, *graph);
     }
+    phases_.dlopt_ms += clock.Lap();
 
     {
       obs::ScopedSpan s(options_.trace, "eval");
       try {
-        out.derived = engine_.Solve(*prog, q.goal, eval_);
+        out.derived = engine_.Solve(prog, inst.goal, eval_);
       } catch (const dl::BudgetExceeded&) {
         out.budget_aborted = true;  // partial stats of the solve still count
       }
     }
+    phases_.eval_ms += clock.Lap();
     out.stats = engine_.last_stats();
     if (out.derived) out.witness = guess.ToString(sys_);
     if (span.active()) {
@@ -141,11 +168,15 @@ class GuessSolver {
   std::size_t fact_reuses() const {
     return engine_.fact_reuses() - fact_reuse_base_;
   }
+  // Time spent per phase by this solver's Solve calls.
+  const PhaseTimes& phases() const { return phases_; }
 
  private:
   const SimplSystem& sys_;
   const DatalogVerifierOptions& options_;
-  MakePOptions mp_;
+  MakePEncoder encoder_;
+  std::vector<const dl::Rule*> rules_;  // the instance's rule list
+  PhaseTimes phases_;
   dl::EvalOptions eval_;
   dlopt::DlOptOptions dlopt_;
   dl::Engine own_engine_;
@@ -232,13 +263,14 @@ void StampShard(DatalogVerdict& v, const DatalogVerifierOptions& options) {
 // threads == 1: the legacy in-order loop on the calling thread, one
 // engine, streaming enumeration. The parallel driver's results are defined
 // to match this path bit for bit (modulo index_builds/fact_reuses).
-DatalogVerdict SerialVerify(const SimplSystem& sys,
-                            const DatalogVerifierOptions& options) {
+// Adds the time spent waiting for guesses to *enumerate_ms.
+DatalogVerdict SerialScan(const SimplSystem& sys,
+                          const DatalogVerifierOptions& options,
+                          GuessSolver& solver, double* enumerate_ms) {
   DatalogVerdict verdict;
   verdict.parallel.threads = 1;
   StampShard(verdict, options);
   DisGuessCursor cursor(sys, options.guess);
-  GuessSolver solver(sys, options);
   const Deadline deadline(options.time_budget_ms);
   const std::size_t batch =
       options.batch_size == 0 ? 1 : options.batch_size;
@@ -255,7 +287,9 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
   std::vector<IndexedGuess> chunk;
   for (;;) {
     chunk.clear();
+    PhaseClock clock;
     const std::size_t n = cursor.NextChunk(batch, &chunk);
+    *enumerate_ms += clock.Lap();
     if (n == 0) break;
     ++verdict.parallel.batches;
     for (IndexedGuess& ig : chunk) {
@@ -330,6 +364,16 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
   // leaves a resumable position (rerun with a larger max_guesses).
   EmitCheckpoint(options, verdict, next_unscanned, verdict.guesses,
                  cursor.complete());
+  return verdict;
+}
+
+DatalogVerdict SerialVerify(const SimplSystem& sys,
+                            const DatalogVerifierOptions& options) {
+  GuessSolver solver(sys, options);
+  double enumerate_ms = 0;
+  DatalogVerdict verdict = SerialScan(sys, options, solver, &enumerate_ms);
+  verdict.phases = solver.phases();
+  verdict.phases.enumerate_ms = enumerate_ms;
   return verdict;
 }
 
@@ -413,6 +457,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   std::size_t cp_frontier_count = 0;  // frontier solves already checkpointed
 
   std::vector<IndexedGuess> chunk;
+  double enumerate_ms = 0;
   while (!cancel.cancelled()) {
     if (deadline.Expired()) {
       deadline_fired.store(true, std::memory_order_relaxed);
@@ -433,7 +478,9 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
       want = std::min(want, options.scan_limit - dispatched);
     }
     chunk.clear();
+    PhaseClock clock;
     const std::size_t n = cursor.NextChunk(want, &chunk);
+    enumerate_ms += clock.Lap();
     if (n == 0) break;
     slots.acquire();
     Batch* slot;
@@ -555,8 +602,10 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
       Accumulate(verdict, o);
     }
   }
+  verdict.phases.enumerate_ms = enumerate_ms;
   for (const auto& solver : solvers) {
     verdict.fact_reuses += solver->fact_reuses();
+    verdict.phases += solver->phases();
   }
 
   const std::size_t base = options.resume_scanned_base;

@@ -9,6 +9,17 @@
 // terminating event — a derived goal or a blown tuple budget — cancels
 // the remaining work.
 //
+// Each worker also owns one MakePEncoder (encoding/makep.h) for the whole
+// verification: the env-signature bases it builds are reused by every
+// later guess with the same signature, and per guess only the dis-chain
+// suffix is emitted. dlopt (dlopt::OptimizeRules) reads the instance's
+// rules in place and copies out only the survivors, which are evaluated
+// in the base's own tables. The instance a worker's encoder hands out is
+// the program MakeP builds for that guess — same rules, order, constants
+// and predicate numbering — so no statistic depends on which worker (or
+// which earlier guesses) built a base, and the width report, rendered
+// from the first solved guess's program, stays thread-count independent.
+//
 // Determinism rule: the verdict, witness guess, guesses-scanned count and
 // the aggregate statistics are *independent of the thread count*. The
 // driver reports the lowest-enumeration-index terminating guess, and a
@@ -151,6 +162,27 @@ struct ParallelStats {
   bool Any() const { return threads > 1; }
 };
 
+// Milliseconds per guess-scan layer, summed over guesses: waiting for the
+// guess enumerator, makeP, dlopt (optimizer, join hints, width report)
+// and evaluation. The serial driver measures them on the calling thread,
+// so they add up to at most the scan's wall-clock time; the parallel
+// driver sums its dispatcher's and workers' times, i.e. thread-time,
+// which can exceed the wall clock (telemetry names them *_cpu_ms).
+struct PhaseTimes {
+  double enumerate_ms = 0;
+  double makep_ms = 0;
+  double dlopt_ms = 0;
+  double eval_ms = 0;
+
+  PhaseTimes& operator+=(const PhaseTimes& o) {
+    enumerate_ms += o.enumerate_ms;
+    makep_ms += o.makep_ms;
+    dlopt_ms += o.dlopt_ms;
+    eval_ms += o.eval_ms;
+    return *this;
+  }
+};
+
 struct DatalogVerdict {
   bool unsafe = false;
   // All guesses were enumerated and evaluated: a negative answer is
@@ -234,6 +266,8 @@ struct DatalogVerdict {
   std::string witness_guess;
   // Parallel-driver telemetry (threads, batches, steals, early exit).
   ParallelStats parallel;
+  // Where the scan's time went (wall-clock dependent, unlike the rest).
+  PhaseTimes phases;
 };
 
 DatalogVerdict DatalogVerify(const SimplSystem& sys,

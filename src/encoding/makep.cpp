@@ -18,61 +18,81 @@ using dl::Sym;
 using dl::Term;
 using dl::V;
 
-// Builds the program for one guess. Convention for constants: abstract
+// Symbol layout of one base. Convention for constants: abstract
 // timestamps are interned first so that Sym value == encoded timestamp;
-// domain values follow at offset val_off_; then node and variable tags.
-class Builder {
+// domain values follow at val_off; then node and variable tags.
+struct Layout {
+  std::size_t k = 0;  // |Var|
+  std::size_t m = 0;  // env registers
+  Sym val_off = 0;
+  Sym node_off = 0;
+  Sym var_off = 0;
+  PredId emp = 0, dmp = 0, etp = 0, unsafe = 0;
+};
+
+// Interns the base's constants and predicates into `prog` for the env
+// signature of `guess`.
+Layout MakeTables(const SimplSystem& sys, const DisGuess& guess,
+                  dl::Program& prog) {
+  Layout lay;
+  lay.k = sys.num_vars;
+  lay.m = sys.env->program().regs().size();
+
+  // Maximum abstract timestamp: 2*T_x + 1 over all variables.
+  int max_ts = 1;
+  for (std::size_t x = 0; x < lay.k; ++x) {
+    max_ts = std::max(max_ts, 2 * guess.StoresOn(x) + 1);
+  }
+  for (int t = 0; t <= max_ts; ++t) {
+    Sym s = prog.ConstSym(StrCat("$ts", AbsTsToString(t)));
+    assert(s == static_cast<Sym>(t));
+    (void)s;
+  }
+  lay.val_off = static_cast<Sym>(max_ts + 1);
+  for (Value v = 0; v < sys.dom; ++v) {
+    Sym s = prog.ConstSym(StrCat("$val", v));
+    assert(s == lay.val_off + static_cast<Sym>(v));
+    (void)s;
+  }
+  lay.node_off = lay.val_off + static_cast<Sym>(sys.dom);
+  for (std::size_t n = 0; n < sys.env->num_nodes(); ++n) {
+    prog.ConstSym(StrCat("$n", n));
+  }
+  lay.var_off = lay.node_off + static_cast<Sym>(sys.env->num_nodes());
+  for (std::size_t x = 0; x < lay.k; ++x) {
+    prog.ConstSym(
+        StrCat("$var_", sys.env->program().vars().Name(
+                            VarId(static_cast<std::uint32_t>(x)))));
+  }
+
+  lay.emp = prog.AddPred("emp", 2 + lay.k);
+  lay.dmp = prog.AddPred("dmp", 2 + lay.k);
+  lay.etp = prog.AddPred("etp", 1 + lay.m + lay.k);
+  lay.unsafe = prog.AddPred("unsafe", 0);
+  return lay;
+}
+
+// Emits rules for one guess into `out_`. The env side (facts, env rules,
+// goal rules) reads the guess only through its env signature, so the
+// encoder runs it once per base; the dis chains are emitted per guess.
+class Emitter {
  public:
-  Builder(const SimplSystem& sys, const DisGuess& guess,
-          const MakePOptions& options)
-      : sys_(sys), guess_(guess), options_(options) {
-    prog_ = std::make_unique<dl::Program>();
-    k_ = sys.num_vars;
-    m_ = sys.env->program().regs().size();
-
-    // Maximum abstract timestamp: 2*T_x + 1 over all variables.
-    int max_ts = 1;
-    for (std::size_t x = 0; x < k_; ++x) {
-      max_ts = std::max(max_ts, 2 * guess.StoresOn(x) + 1);
-    }
-    for (int t = 0; t <= max_ts; ++t) {
-      Sym s = prog_->ConstSym(StrCat("$ts", AbsTsToString(t)));
-      assert(s == static_cast<Sym>(t));
-      (void)s;
-    }
-    val_off_ = static_cast<Sym>(max_ts + 1);
-    for (Value v = 0; v < sys.dom; ++v) {
-      Sym s = prog_->ConstSym(StrCat("$val", v));
-      assert(s == val_off_ + static_cast<Sym>(v));
-      (void)s;
-    }
-    node_off_ = val_off_ + static_cast<Sym>(sys.dom);
-    for (std::size_t n = 0; n < sys.env->num_nodes(); ++n) {
-      prog_->ConstSym(StrCat("$n", n));
-    }
-    var_off_ = node_off_ + static_cast<Sym>(sys.env->num_nodes());
-    for (std::size_t x = 0; x < k_; ++x) {
-      prog_->ConstSym(
-          StrCat("$var_", sys.env->program().vars().Name(
-                              VarId(static_cast<std::uint32_t>(x)))));
-    }
-
-    emp_ = prog_->AddPred("emp", 2 + k_);
-    dmp_ = prog_->AddPred("dmp", 2 + k_);
-    etp_ = prog_->AddPred("etp", 1 + m_ + k_);
-    unsafe_ = prog_->AddPred("unsafe", 0);
-  }
-
-  MakePResult Build() {
-    AddFacts();
-    AddEnvRules();
-    AddDisChains();
-    AddGoalRules();
-    MakePResult result;
-    result.goal = Atom{unsafe_, {}};
-    result.prog = std::move(prog_);
-    return result;
-  }
+  Emitter(const SimplSystem& sys, const DisGuess& guess,
+          const MakePOptions& options, const Layout& lay,
+          std::vector<Rule>* out)
+      : sys_(sys),
+        guess_(guess),
+        options_(options),
+        out_(out),
+        k_(lay.k),
+        m_(lay.m),
+        val_off_(lay.val_off),
+        node_off_(lay.node_off),
+        var_off_(lay.var_off),
+        emp_(lay.emp),
+        dmp_(lay.dmp),
+        etp_(lay.etp),
+        unsafe_(lay.unsafe) {}
 
  private:
   Sym TsSym(int ts) const { return static_cast<Sym>(ts); }
@@ -176,6 +196,9 @@ class Builder {
     return vw;
   }
 
+  // --- base: init facts, env rules, goal rules ---------------------------
+
+ public:
   void AddFacts() {
     // Initial dis (init) messages: value d_init, zero view.
     for (std::size_t x = 0; x < k_; ++x) {
@@ -184,7 +207,7 @@ class Builder {
       a.args.push_back(C(var_off_ + static_cast<Sym>(x)));
       a.args.push_back(C(ValSym(kInitValue)));
       for (std::size_t y = 0; y < k_; ++y) a.args.push_back(C(TsSym(0)));
-      prog_->AddFact(std::move(a));
+      AddFact(std::move(a));
     }
     // Initial env-thread configuration.
     {
@@ -195,18 +218,17 @@ class Builder {
         a.args.push_back(C(ValSym(kInitValue)));
       }
       for (std::size_t x = 0; x < k_; ++x) a.args.push_back(C(TsSym(0)));
-      prog_->AddFact(std::move(a));
+      AddFact(std::move(a));
     }
   }
 
-  void AddEnvRules() {
+  // Dead env edges (unreachable source or constantly-false guard) would
+  // generate rules that can never fire; skip them so the emitted program
+  // stays small even when the caller did not run the verifier pre-pass.
+  void AddEnvRules(const std::vector<bool>& edge_dead) {
     const Cfa& cfa = *sys_.env;
-    // Dead env edges (unreachable source or constantly-false guard) would
-    // generate rules that can never fire; skip them so the emitted program
-    // stays small even when the caller did not run the verifier pre-pass.
-    const ReachabilityResult reach = AnalyzeReachability(cfa);
     for (std::size_t ei = 0; ei < cfa.edges().size(); ++ei) {
-      if (reach.edge_dead[ei]) continue;
+      if (edge_dead[ei]) continue;
       const CfaEdge& edge = cfa.edges()[ei];
       const Instr& instr = edge.instr;
       switch (instr.kind) {
@@ -214,7 +236,7 @@ class Builder {
           Rule r;
           r.head = EtpAtom(edge.to, IdentityRv(), IdentityView());
           r.body = {EtpAtom(edge.from, IdentityRv(), IdentityView())};
-          prog_->AddRule(std::move(r));
+          AddRule(std::move(r));
           break;
         }
         case Instr::Kind::kAssume: {
@@ -222,18 +244,18 @@ class Builder {
           r.head = EtpAtom(edge.to, IdentityRv(), IdentityView());
           r.body = {EtpAtom(edge.from, IdentityRv(), IdentityView())};
           r.natives.push_back(ExprCheck(instr.expr));
-          prog_->AddRule(std::move(r));
+          AddRule(std::move(r));
           break;
         }
         case Instr::Kind::kAssertFail: {
           Rule r;
           r.head = Atom{unsafe_, {}};
           r.body = {EtpAtom(edge.from, IdentityRv(), IdentityView())};
-          prog_->AddRule(std::move(r));
+          AddRule(std::move(r));
           Rule adv;
           adv.head = EtpAtom(edge.to, IdentityRv(), IdentityView());
           adv.body = {EtpAtom(edge.from, IdentityRv(), IdentityView())};
-          prog_->AddRule(std::move(adv));
+          AddRule(std::move(adv));
           break;
         }
         case Instr::Kind::kAssign: {
@@ -244,7 +266,7 @@ class Builder {
           r.head = EtpAtom(edge.to, rv, IdentityView());
           r.body = {EtpAtom(edge.from, IdentityRv(), IdentityView())};
           r.natives.push_back(ExprFn(instr.expr, out));
-          prog_->AddRule(std::move(r));
+          AddRule(std::move(r));
           break;
         }
         case Instr::Kind::kLoad:
@@ -260,6 +282,7 @@ class Builder {
     }
   }
 
+ private:
   void AddEnvLoadRules(const CfaEdge& edge) {
     const Instr& instr = edge.instr;
     const std::size_t x = instr.var.index();
@@ -297,7 +320,7 @@ class Builder {
       // view(x) <= msg.ts(x)
       r.natives.push_back(
           LeqCheck(ViewVar(x), V(u0 + static_cast<dl::VarSym>(x))));
-      prog_->AddRule(std::move(r));
+      AddRule(std::move(r));
     }
     // (b) From an env message, clone promoted into unfrozen gap h.
     for (int h = 0; h <= guess_.StoresOn(x); ++h) {
@@ -320,7 +343,7 @@ class Builder {
       r.natives.push_back(LeqCheck(ViewVar(x), C(TsSym(PlusTs(h)))));
       r.natives.push_back(
           LeqCheck(V(u0 + static_cast<dl::VarSym>(x)), C(TsSym(PlusTs(h)))));
-      prog_->AddRule(std::move(r));
+      AddRule(std::move(r));
     }
   }
 
@@ -339,13 +362,13 @@ class Builder {
       msg.head.args.insert(msg.head.args.end(), w.begin(), w.end());
       msg.body = {EtpAtom(edge.from, IdentityRv(), IdentityView())};
       msg.natives.push_back(LeqCheck(ViewVar(x), C(TsSym(PlusTs(h)))));
-      prog_->AddRule(std::move(msg));
+      AddRule(std::move(msg));
 
       Rule adv;
       adv.head = EtpAtom(edge.to, IdentityRv(), w);
       adv.body = {EtpAtom(edge.from, IdentityRv(), IdentityView())};
       adv.natives.push_back(LeqCheck(ViewVar(x), C(TsSym(PlusTs(h)))));
-      prog_->AddRule(std::move(adv));
+      AddRule(std::move(adv));
     }
   }
 
@@ -353,21 +376,23 @@ class Builder {
   //
   // Variable layout for dis rules: 0..k-1 current view T, then scratch.
 
-  void AddDisChains() {
+ public:
+  // Appends the dtp_t_j predicates (arity k) to `prog`, after the base's.
+  void AddDisChains(dl::Program& prog) {
+    std::vector<PredId> dtp;
     for (std::size_t t = 0; t < guess_.threads.size(); ++t) {
       const ThreadGuess& path = guess_.threads[t];
       const Cfa& cfa = *sys_.dis[t];
-      // dtp_t_j predicates, arity k.
-      std::vector<PredId> dtp(path.steps.size() + 1);
+      dtp.resize(path.steps.size() + 1);
       for (std::size_t j = 0; j <= path.steps.size(); ++j) {
-        dtp[j] = prog_->AddPred(StrCat("dtp", t, "_", j), k_);
+        dtp[j] = prog.AddPred(StrCat("dtp", t, "_", j), k_);
       }
       // Initial fact: zero view.
       {
         Atom a;
         a.pred = dtp[0];
         for (std::size_t y = 0; y < k_; ++y) a.args.push_back(C(TsSym(0)));
-        prog_->AddFact(std::move(a));
+        AddFact(std::move(a));
       }
       for (std::size_t j = 0; j < path.steps.size(); ++j) {
         AddDisStepRules(cfa, path.steps[j], dtp[j], dtp[j + 1]);
@@ -375,6 +400,7 @@ class Builder {
     }
   }
 
+ private:
   Atom DtpAtom(PredId pred, const std::vector<Term>& view) const {
     Atom a;
     a.pred = pred;
@@ -400,18 +426,18 @@ class Builder {
         Rule r;
         r.head = DtpAtom(to, DisView());
         r.body = {DtpAtom(from, DisView())};
-        prog_->AddRule(std::move(r));
+        AddRule(std::move(r));
         break;
       }
       case Instr::Kind::kAssertFail: {
         Rule v;
         v.head = Atom{unsafe_, {}};
         v.body = {DtpAtom(from, DisView())};
-        prog_->AddRule(std::move(v));
+        AddRule(std::move(v));
         Rule adv;
         adv.head = DtpAtom(to, DisView());
         adv.body = {DtpAtom(from, DisView())};
-        prog_->AddRule(std::move(adv));
+        AddRule(std::move(adv));
         break;
       }
       case Instr::Kind::kLoad:
@@ -468,7 +494,7 @@ class Builder {
       r.body = {DtpAtom(from, DisView()), msg_atom(dmp_, p)};
       r.natives.push_back(
           LeqCheck(V(static_cast<dl::VarSym>(x)), C(TsSym(DisTs(p)))));
-      prog_->AddRule(std::move(r));
+      AddRule(std::move(r));
       return;
     }
     // From an env message: one rule per unfrozen promotion gap.
@@ -492,7 +518,7 @@ class Builder {
           LeqCheck(V(static_cast<dl::VarSym>(x)), C(TsSym(PlusTs(h)))));
       r.natives.push_back(
           LeqCheck(V(u0 + static_cast<dl::VarSym>(x)), C(TsSym(PlusTs(h)))));
-      prog_->AddRule(std::move(r));
+      AddRule(std::move(r));
     }
   }
 
@@ -567,10 +593,11 @@ class Builder {
       }
       return r;
     };
-    prog_->AddRule(build(/*as_msg=*/true));
-    prog_->AddRule(build(/*as_msg=*/false));
+    AddRule(build(/*as_msg=*/true));
+    AddRule(build(/*as_msg=*/false));
   }
 
+ public:
   void AddGoalRules() {
     if (!options_.goal_message.has_value()) return;
     const auto [gx, gv] = *options_.goal_message;
@@ -585,28 +612,107 @@ class Builder {
         msg.args.push_back(V(static_cast<dl::VarSym>(y)));
       }
       r.body = {std::move(msg)};
-      prog_->AddRule(std::move(r));
+      AddRule(std::move(r));
     }
   }
+
+ private:
+  void AddRule(Rule rule) { out_->push_back(std::move(rule)); }
+  void AddFact(Atom atom) { out_->push_back(Rule{std::move(atom), {}, {}}); }
 
   const SimplSystem& sys_;
   const DisGuess& guess_;
   const MakePOptions& options_;
-  std::unique_ptr<dl::Program> prog_;
-  std::size_t k_ = 0;  // |Var|
-  std::size_t m_ = 0;  // env registers
-  Sym val_off_ = 0;
-  Sym node_off_ = 0;
-  Sym var_off_ = 0;
-  PredId emp_ = 0, dmp_ = 0, etp_ = 0, unsafe_ = 0;
+  std::vector<Rule>* out_;
+  const std::size_t k_;  // |Var|
+  const std::size_t m_;  // env registers
+  const Sym val_off_;
+  const Sym node_off_;
+  const Sym var_off_;
+  const PredId emp_, dmp_, etp_, unsafe_;
 };
 
 }  // namespace
 
+// One base: everything an instance shares with the other guesses of its
+// env signature.
+struct MakePEncoder::Base {
+  dl::Program tables;  // base constants and predicates; rules: scratch
+  Layout lay;
+  std::vector<Rule> prefix;      // init facts, env rules
+  std::vector<Rule> goal_rules;  // MG goal rules
+};
+
+void MakePInstance::AppendRules(std::vector<const Rule*>* out) const {
+  for (const std::span<const Rule> part : {prefix, suffix, goal_rules}) {
+    for (const Rule& r : part) out->push_back(&r);
+  }
+}
+
+std::vector<Rule> MakePInstance::CopyRules() const {
+  std::vector<Rule> rules;
+  rules.reserve(size());
+  for (const std::span<const Rule> part : {prefix, suffix, goal_rules}) {
+    rules.insert(rules.end(), part.begin(), part.end());
+  }
+  return rules;
+}
+
+MakePEncoder::MakePEncoder(const SimplSystem& sys, const MakePOptions& options)
+    : sys_(sys),
+      options_(options),
+      env_edge_dead_(AnalyzeReachability(*sys.env).edge_dead) {}
+
+MakePEncoder::~MakePEncoder() = default;
+
+MakePInstance MakePEncoder::Encode(const DisGuess& guess) {
+  // The env signature: per variable, the dis store count and then the
+  // frozen flag of each gap.
+  key_.clear();
+  for (std::size_t x = 0; x < sys_.num_vars; ++x) {
+    key_.push_back(guess.StoresOn(x));
+    for (int h = 0; h <= guess.StoresOn(x); ++h) {
+      key_.push_back(guess.GapFrozen(x, h) ? 1 : 0);
+    }
+  }
+  auto it = bases_.find(key_);
+  if (it == bases_.end()) {
+    if (bases_.size() == kMaxBases) bases_.clear();
+    it = bases_.emplace(key_, std::make_unique<Base>()).first;
+    ++built_;
+    Base& fresh = *it->second;
+    fresh.lay = MakeTables(sys_, guess, fresh.tables);
+    Emitter env(sys_, guess, options_, fresh.lay, &fresh.prefix);
+    env.AddFacts();
+    env.AddEnvRules(env_edge_dead_);
+    Emitter goal(sys_, guess, options_, fresh.lay, &fresh.goal_rules);
+    goal.AddGoalRules();
+  }
+  Base& base = *it->second;
+  // Drop the previous guess's dtp predicates, then emit this guess's.
+  base.tables.TruncatePreds(base.lay.unsafe + 1);
+  suffix_.clear();
+  Emitter(sys_, guess, options_, base.lay, &suffix_)
+      .AddDisChains(base.tables);
+
+  MakePInstance inst;
+  inst.tables = &base.tables;
+  inst.prefix = base.prefix;
+  inst.suffix = suffix_;
+  inst.goal_rules = base.goal_rules;
+  inst.goal = Atom{base.lay.unsafe, {}};
+  return inst;
+}
+
 MakePResult MakeP(const SimplSystem& sys, const DisGuess& guess,
                   const MakePOptions& options) {
-  Builder builder(sys, guess, options);
-  return builder.Build();
+  MakePEncoder encoder(sys, options);
+  const MakePInstance inst = encoder.Encode(guess);
+  MakePResult result;
+  result.prog = std::make_unique<dl::Program>(*inst.tables);
+  result.prog->SetRules(inst.CopyRules());
+  result.goal = inst.goal;
+  return result;
 }
 
 }  // namespace rapar

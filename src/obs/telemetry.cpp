@@ -7,16 +7,18 @@
 namespace rapar::obs {
 
 Telemetry::Entry& Telemetry::Upsert(std::string_view name, bool is_gauge) {
-  auto it = index_.find(std::string(name));
-  if (it != index_.end()) return entries_[it->second];
+  for (Entry& e : entries_) {
+    if (e.name == name) return e;
+  }
   entries_.push_back(Entry{std::string(name), is_gauge, 0, 0.0});
-  index_.emplace(entries_.back().name, entries_.size() - 1);
   return entries_.back();
 }
 
 const Telemetry::Entry* Telemetry::Lookup(std::string_view name) const {
-  auto it = index_.find(std::string(name));
-  return it == index_.end() ? nullptr : &entries_[it->second];
+  for (const Entry& e : entries_) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
 }
 
 void Telemetry::SetCounter(std::string_view name, std::uint64_t value) {

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace rapar {
@@ -150,10 +149,26 @@ inline constexpr char kPhasePrepassMs[] = "phase.prepass_ms";
 inline constexpr char kPhaseSolveMs[] = "phase.solve_ms";
 inline constexpr char kPhaseWitnessMs[] = "phase.witness_ms";
 inline constexpr char kPhaseTotalMs[] = "phase.total_ms";
+// The Datalog backend's split of phase.solve_ms into its per-guess layers,
+// summed over guesses: waiting for the guess enumerator, makeP, dlopt
+// (optimizer and join hints) and evaluation. With one worker thread they
+// are wall-clock and add up to at most phase.solve_ms; the parallel
+// driver reports thread-time summed over its threads instead, under the
+// *_cpu_ms names, which can exceed the wall clock.
+inline constexpr char kPhaseEnumerateMs[] = "phase.enumerate_ms";
+inline constexpr char kPhaseMakepMs[] = "phase.makep_ms";
+inline constexpr char kPhaseDloptMs[] = "phase.dlopt_ms";
+inline constexpr char kPhaseEvalMs[] = "phase.eval_ms";
+inline constexpr char kPhaseEnumerateCpuMs[] = "phase.enumerate_cpu_ms";
+inline constexpr char kPhaseMakepCpuMs[] = "phase.makep_cpu_ms";
+inline constexpr char kPhaseDloptCpuMs[] = "phase.dlopt_cpu_ms";
+inline constexpr char kPhaseEvalCpuMs[] = "phase.eval_cpu_ms";
 }  // namespace metric
 
 // Ordered name → value registry. Insertion order is preserved so text
-// and JSON renderings are stable; lookups are O(1) via a side index.
+// and JSON renderings are stable. Lookups scan the entries: a registry
+// holds a few dozen names, and the serve cache keeps one per verdict, so
+// a side index would cost more memory than the scan costs time.
 // Cheap to fill once per verify — this is a results container, not a
 // hot-path accumulator (the backends keep their local structs for that
 // and export here at the end).
@@ -195,7 +210,6 @@ class Telemetry {
   const Entry* Lookup(std::string_view name) const;
 
   std::vector<Entry> entries_;
-  std::unordered_map<std::string, std::size_t> index_;
 };
 
 }  // namespace rapar::obs

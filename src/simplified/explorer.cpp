@@ -108,7 +108,8 @@ static SaturationOutcome SaturateEnv(
       steps.clear();
       EnumerateActorSteps(sys, cfg, policy, SimplStep::Actor::kEnv, idx,
                           steps);
-      for (SimplStep step : steps) {
+      for (std::size_t si = 0; si < steps.size(); ++si) {
+        SimplStep step = steps[si];
         // Re-resolve the actor index: earlier applications may have
         // inserted configurations below it.
         const auto& cur = cfg.env_cfgs();
@@ -116,9 +117,23 @@ static SaturationOutcome SaturateEnv(
         assert(it2 != cur.end() && *it2 == value);
         step.actor_index = static_cast<std::uint32_t>(it2 - cur.begin());
         StepEffect eff = ApplyStep(sys, cfg, step);
-        const bool added =
-            eff.actor_fresh ||
-            (eff.wrote && eff.wrote_is_env && eff.wrote_fresh);
+        const bool new_msg = eff.wrote && eff.wrote_is_env && eff.wrote_fresh;
+        if (new_msg) {
+          // The new message went into the sorted env_msgs() set: the
+          // env-message reads of the remaining steps at or above its
+          // position now find their message one slot higher.
+          const auto& msgs = cfg.env_msgs();
+          const EnvMsg msg{eff.wrote_var, eff.wrote_val, eff.wrote_view};
+          const auto at = static_cast<std::int32_t>(
+              std::lower_bound(msgs.begin(), msgs.end(), msg) - msgs.begin());
+          for (std::size_t sj = si + 1; sj < steps.size(); ++sj) {
+            if (steps[sj].read_kind == SimplStep::ReadKind::kEnvMsg &&
+                steps[sj].read_pos >= at) {
+              ++steps[sj].read_pos;
+            }
+          }
+        }
+        const bool added = eff.actor_fresh || new_msg;
         if (added) {
           log.push_back(step);
           changed = true;

@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/benchmarks.h"
 #include "datalog/engine.h"
+#include "dlopt/optimize.h"
 #include "encoding/makep.h"
 #include "lang/parser.h"
 #include "lang/random_program.h"
@@ -405,6 +408,150 @@ TEST_P(BackendAgreementTest, VerdictsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, BackendAgreementTest,
                          ::testing::Range<std::uint64_t>(1, 30));
+
+// --- Encoder reuse parity ---------------------------------------------------
+//
+// The verifier keeps one MakePEncoder per worker for a whole verification
+// and reuses each env-signature base across guesses. For every guess, the
+// long-lived encoder's instance must be indistinguishable from a fresh
+// encoder's (which is what MakeP builds): the same rule text in the same
+// order, and the same optimizer outcome — survivors, statistics and
+// per-rule removal causes.
+
+void ExpectSameStats(const dlopt::DlOptStats& a, const dlopt::DlOptStats& b,
+                     const std::string& label) {
+  EXPECT_EQ(a.ToString(), b.ToString()) << label;
+  EXPECT_EQ(a.preds_before, b.preds_before) << label;
+  EXPECT_EQ(a.preds_after, b.preds_after) << label;
+}
+
+// Sets *bases to the number of bases the long-lived encoder built.
+void ExpectEncoderReuseParity(const SimplSystem& sys,
+                              const MakePOptions& options,
+                              std::size_t max_guesses,
+                              const std::string& label,
+                              std::size_t* bases = nullptr) {
+  GuessEnumOptions enum_opts;
+  enum_opts.max_guesses = max_guesses;
+  bool complete = false;
+  const std::vector<DisGuess> guesses =
+      EnumerateDisGuesses(sys, enum_opts, &complete);
+  MakePEncoder reused(sys, options);
+  for (std::size_t g = 0; g < guesses.size(); ++g) {
+    const std::string at = label + " guess " + std::to_string(g);
+    MakePEncoder fresh(sys, options);
+    const MakePInstance a = reused.Encode(guesses[g]);
+    const MakePInstance b = fresh.Encode(guesses[g]);
+    std::vector<const dl::Rule*> ra;
+    std::vector<const dl::Rule*> rb;
+    a.AppendRules(&ra);
+    b.AppendRules(&rb);
+    ASSERT_EQ(ra.size(), rb.size()) << at;
+    ASSERT_EQ(a.tables->num_preds(), b.tables->num_preds()) << at;
+    ASSERT_EQ(a.goal, b.goal) << at;
+    std::vector<std::string> text;
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      text.push_back(a.tables->RuleToString(*ra[i]));
+      ASSERT_EQ(text[i], b.tables->RuleToString(*rb[i])) << at << " rule " << i;
+    }
+    const dlopt::RuleListResult oa =
+        dlopt::OptimizeRules(*a.tables, ra, a.goal);
+    const dlopt::RuleListResult ob =
+        dlopt::OptimizeRules(*b.tables, rb, b.goal);
+    // The optimizer reads the instance in place and must leave it intact.
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      ASSERT_EQ(text[i], a.tables->RuleToString(*ra[i]))
+          << at << " rule " << i << " after dlopt";
+    }
+    ExpectSameStats(oa.stats, ob.stats, at);
+    EXPECT_TRUE(oa.cause == ob.cause) << at;
+    ASSERT_EQ(oa.kept.size(), ob.kept.size()) << at;
+    for (std::size_t i = 0; i < oa.kept.size(); ++i) {
+      EXPECT_EQ(a.tables->RuleToString(oa.kept[i]),
+                b.tables->RuleToString(ob.kept[i]))
+          << at << " survivor " << i;
+    }
+  }
+  if (bases != nullptr) *bases = reused.bases();
+}
+
+TEST(EncoderReuseParityTest, BenchmarkCatalog) {
+  for (BenchmarkCase& bench : StandardBenchmarks()) {
+    ExpectEncoderReuseParity(bench.system.simpl(), {}, 300, bench.name);
+  }
+}
+
+TEST(EncoderReuseParityTest, RandomSystemsBothQueries) {
+  std::size_t guesses_with_shared_base = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    RandomProgramOptions env_opts;
+    env_opts.num_vars = 2;
+    env_opts.num_regs = 2;
+    env_opts.dom = 3;
+    env_opts.size = 5;
+    env_opts.allow_cas = false;
+    env_opts.allow_loops = false;
+    RandomProgramOptions dis_opts = env_opts;
+    dis_opts.size = 4;
+    Program env = RandomProgram(rng, env_opts, "env");
+    Program dis = RandomProgram(rng, dis_opts, "dis");
+    const VarId var(static_cast<std::uint32_t>(rng.Below(2)));
+    const Value val = rng.IntIn(1, 2);
+    Expected<ParamSystem> sys = ParamSystem::Builder()
+                                    .Env(std::move(env))
+                                    .Dis(std::move(dis))
+                                    .Build();
+    ASSERT_TRUE(sys.ok()) << "seed " << seed;
+    const std::string label = "seed " + std::to_string(seed);
+    const SimplSystem& simpl = sys.value().simpl();
+    bool complete = false;
+    const std::size_t n = EnumerateDisGuesses(simpl, {}, &complete).size();
+    std::size_t bases = 0;
+    ExpectEncoderReuseParity(simpl, {}, 500, label + " assert", &bases);
+    guesses_with_shared_base += std::min<std::size_t>(n, 500) - bases;
+    MakePOptions mg;
+    mg.goal_message = {var, val};
+    ExpectEncoderReuseParity(simpl, mg, 500, label + " mg");
+  }
+  // The corpus must actually reuse bases.
+  EXPECT_GT(guesses_with_shared_base, 200u);
+}
+
+// CAS glue freezes gaps, so dis-CAS guesses split over several bases;
+// where the env side reads or writes the CAS variable, bases with
+// different frozen-gap masks emit different env rules.
+TEST(EncoderReuseParityTest, DisCasSystemsWithSeveralSignatures) {
+  std::size_t bases = 0;
+  ExpectEncoderReuseParity(DekkerCas().system.simpl(), {}, 2'000,
+                           "dekker-cas", &bases);
+  EXPECT_GT(bases, 1u);
+  std::size_t multi_base = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    RandomProgramOptions env_opts;
+    env_opts.num_vars = 2;
+    env_opts.num_regs = 2;
+    env_opts.dom = 3;
+    env_opts.size = 5;
+    env_opts.allow_cas = false;
+    env_opts.allow_loops = false;
+    RandomProgramOptions dis_opts = env_opts;
+    dis_opts.size = 5;
+    dis_opts.allow_cas = true;
+    Program env = RandomProgram(rng, env_opts, "env");
+    Program dis = RandomProgram(rng, dis_opts, "dis");
+    Expected<ParamSystem> sys = ParamSystem::Builder()
+                                    .Env(std::move(env))
+                                    .Dis(std::move(dis))
+                                    .Build();
+    ASSERT_TRUE(sys.ok()) << "cas seed " << seed;
+    ExpectEncoderReuseParity(sys.value().simpl(), {}, 500,
+                             "cas seed " + std::to_string(seed), &bases);
+    multi_base += bases > 1;
+  }
+  EXPECT_GT(multi_base, 5u);
+}
 
 }  // namespace
 }  // namespace rapar

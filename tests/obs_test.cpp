@@ -282,5 +282,54 @@ TEST(TelemetryTest, VerdictPhaseGaugesAndAccessors) {
             v.telemetry.counter(metric::kDlOptRulesBefore));
 }
 
+// The Datalog backend splits phase.solve_ms into its per-guess layers.
+// Serially they are disjoint intervals of the solve, so they add up to at
+// most phase.solve_ms; the parallel driver reports thread-time under the
+// *_cpu_ms names instead.
+TEST(TelemetryTest, DatalogLayerGaugesSplitTheSolve) {
+  namespace metric = obs::metric;
+  const char* serial[] = {metric::kPhaseEnumerateMs, metric::kPhaseMakepMs,
+                          metric::kPhaseDloptMs, metric::kPhaseEvalMs};
+  const char* threaded[] = {
+      metric::kPhaseEnumerateCpuMs, metric::kPhaseMakepCpuMs,
+      metric::kPhaseDloptCpuMs, metric::kPhaseEvalCpuMs};
+  std::vector<BenchmarkCase> cases;
+  cases.push_back(ProducerConsumer(4));
+  cases.push_back(DekkerCas());
+  for (const BenchmarkCase& bench : cases) {
+    SafetyVerifier verifier(bench.system);
+    VerifierOptions opts;
+    opts.backend = Backend::kDatalog;
+    const Verdict v = verifier.Run(std::nullopt, opts);
+    double sum = 0;
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(v.telemetry.Has(serial[i])) << bench.name << serial[i];
+      EXPECT_GE(v.telemetry.gauge(serial[i]), 0.0) << bench.name << serial[i];
+      EXPECT_FALSE(v.telemetry.Has(threaded[i])) << bench.name << threaded[i];
+      sum += v.telemetry.gauge(serial[i]);
+    }
+    EXPECT_GT(v.telemetry.gauge(metric::kPhaseMakepMs), 0.0) << bench.name;
+    EXPECT_LE(sum, v.telemetry.gauge(metric::kPhaseSolveMs)) << bench.name;
+
+    opts.datalog.threads = 4;
+    const Verdict p = verifier.Run(std::nullopt, opts);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(p.telemetry.Has(threaded[i])) << bench.name << threaded[i];
+      EXPECT_GE(p.telemetry.gauge(threaded[i]), 0.0)
+          << bench.name << threaded[i];
+      EXPECT_FALSE(p.telemetry.Has(serial[i])) << bench.name << serial[i];
+    }
+  }
+}
+
+// Backends without a guess scan report no layer gauges.
+TEST(TelemetryTest, LayerGaugesOnlyOnTheDatalogBackend) {
+  BenchmarkCase bench = ProducerConsumer(2);
+  const Verdict v = SafetyVerifier(bench.system).Run(std::nullopt, {});
+  EXPECT_TRUE(v.telemetry.Has(obs::metric::kPhaseSolveMs));
+  EXPECT_FALSE(v.telemetry.Has(obs::metric::kPhaseMakepMs));
+  EXPECT_FALSE(v.telemetry.Has(obs::metric::kPhaseMakepCpuMs));
+}
+
 }  // namespace
 }  // namespace rapar

@@ -9,7 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/strings.h"
+#include "core/param_system.h"
+#include "core/verifier.h"
 #include "lang/parser.h"
+#include "lang/random_program.h"
 #include "lang/unroll.h"
 
 namespace rapar {
@@ -436,6 +441,52 @@ TEST(SimplifiedWitnessTest, ExplorerStatsPopulated) {
   EXPECT_FALSE(ex.reachable_env_de().empty());
   EXPECT_FALSE(ex.reachable_dis_de().empty());
   EXPECT_FALSE(ex.generated_messages().empty());
+}
+
+// --- Env saturation re-resolves read messages ------------------------------
+//
+// Env saturation enumerates one clone's steps up front and applies them in
+// turn. An env store among them inserts into the sorted env-message set,
+// which shifts the position a later env-message read was enumerated with.
+// These random systems (env size 10, dis size 8, three variables) used to
+// read the wrong message there and abort; the explorer must now finish and
+// agree with the Datalog backend on both queries.
+TEST(SimplifiedSaturationTest, ShiftedEnvReadsAgreeWithDatalog) {
+  for (const std::uint64_t seed : {100u, 406u, 993u}) {
+    Rng rng(seed);
+    RandomProgramOptions env_opts;
+    env_opts.num_vars = 3;
+    env_opts.num_regs = 3;
+    env_opts.dom = 4;
+    env_opts.size = 10;
+    env_opts.allow_cas = false;
+    env_opts.allow_loops = false;
+    RandomProgramOptions dis_opts = env_opts;
+    dis_opts.size = 8;
+    Program env = RandomProgram(rng, env_opts, "env");
+    Program dis = RandomProgram(rng, dis_opts, "dis");
+    const int var = static_cast<int>(rng.Below(3));
+    const Value val = rng.IntIn(1, 3);
+    Expected<ParamSystem> sys =
+        ParamSystem::Builder().Env(std::move(env)).Dis(std::move(dis)).Build();
+    ASSERT_TRUE(sys.ok()) << sys.error();
+    const VarId x = sys.value().vars().Find(StrCat("v", var));
+    const SafetyVerifier verifier(sys.value());
+    VerifierOptions simpl;
+    VerifierOptions datalog;
+    datalog.backend = Backend::kDatalog;
+    for (const std::optional<std::pair<VarId, Value>>& goal :
+         {std::optional<std::pair<VarId, Value>>{},
+          std::optional<std::pair<VarId, Value>>{{x, val}}}) {
+      const std::string label =
+          StrCat("seed ", seed, goal.has_value() ? " mg" : " assert");
+      const Verdict a = verifier.Run(goal, simpl);
+      const Verdict b = verifier.Run(goal, datalog);
+      ASSERT_NE(a.result, Verdict::Result::kUnknown) << label;
+      ASSERT_NE(b.result, Verdict::Result::kUnknown) << label;
+      EXPECT_EQ(a.result, b.result) << label;
+    }
+  }
 }
 
 }  // namespace
