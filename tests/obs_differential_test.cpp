@@ -97,17 +97,26 @@ TEST(ObsDifferentialTest, DeadlineAbortsDatalogSerial) {
   EXPECT_NE(v.ToString().find("[deadline hit in solve]"), std::string::npos);
 }
 
+// Four workers solve peterson-ra's guesses concurrently and may reach its
+// witness inside a 1 ms budget, which rightly ends the run as unsafe. The
+// parallel check therefore uses a safe instance: dekker-cas scans 384
+// guesses (over ten milliseconds on four workers) and has no witness, so
+// only the deadline can stop the scan early.
 TEST(ObsDifferentialTest, DeadlineAbortsDatalogParallel) {
-  BenchmarkCase bench = PetersonRa();
+  BenchmarkCase bench = DekkerCas();
   SafetyVerifier verifier(bench.system);
   VerifierOptions opts;
   opts.backend = Backend::kDatalog;
   opts.datalog.threads = 4;
+  VerifierOptions full = opts;
+  const Verdict complete = verifier.Run(std::nullopt, full);
+  ASSERT_EQ(complete.result, Verdict::Result::kSafe);
   opts.time_budget_ms = 1;
   const Verdict v = verifier.Run(std::nullopt, opts);
   EXPECT_EQ(v.result, Verdict::Result::kUnknown);
   EXPECT_EQ(v.stopped_phase, "solve");
   EXPECT_TRUE(v.witness.empty());
+  EXPECT_LT(v.guesses(), complete.guesses());
 }
 
 // The saturation explorer checks its budget every few expansion steps;
