@@ -102,6 +102,13 @@ bool GetIntRange(const JsonValue& obj, const char* key, long long* out,
   return true;
 }
 
+// Hardware concurrency, at least 1: the session's default pool size and
+// the per-request datalog.threads ceiling.
+unsigned HardwareThreads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
+}
+
 bool GetBool(const JsonValue& obj, const char* key, bool* out,
              std::string* error) {
   const JsonValue* v = FindMember(obj, key);
@@ -130,7 +137,10 @@ bool GetString(const JsonValue& obj, const char* key, std::string* out,
 // (30s budget, simplified backend) except datalog.threads, which
 // defaults to 1: the daemon parallelizes *across* requests, so each
 // request runs the serial loop on a warm per-worker engine unless the
-// client asks otherwise.
+// client asks otherwise. Clients cannot lift the daemon's ceilings: a
+// time_budget_ms of 0 or less (unlimited on the CLI) and a threads
+// value outside 1..hardware concurrency (0/-1 would fan one request out
+// to every core inside an already pooled worker) are decode errors.
 Request DecodeRequest(const JsonValue& doc) {
   Request req;
   req.vopts.time_budget_ms = 30'000;
@@ -231,7 +241,8 @@ Request DecodeRequest(const JsonValue& doc) {
         !GetString(*opts, "engine_storage", &engine_storage, &req.error) ||
         !GetBool(*opts, "delta_solve",
                  &req.vopts.datalog.engine.delta_solve, &req.error) ||
-        !GetIntRange(*opts, "threads", &threads, -1, 1 << 16, &req.error) ||
+        !GetIntRange(*opts, "threads", &threads, 1, HardwareThreads(),
+                     &req.error) ||
         !GetIntRange(*opts, "batch_size", &batch_size, 0, 1 << 24,
                      &req.error) ||
         !GetIntRange(*opts, "env_threads", &env_threads, 1, 4096,
@@ -246,7 +257,8 @@ Request DecodeRequest(const JsonValue& doc) {
         !GetInt(*opts, "max_states", &max_states, &req.error) ||
         !GetIntRange(*opts, "max_depth", &max_depth, -1, kKnobMax,
                      &req.error) ||
-        !GetInt(*opts, "time_budget_ms", &time_budget_ms, &req.error) ||
+        !GetIntRange(*opts, "time_budget_ms", &time_budget_ms, 1, kKnobMax,
+                     &req.error) ||
         !GetInt(*opts, "max_guesses", &max_guesses, &req.error)) {
       return req;
     }
@@ -286,8 +298,7 @@ Request DecodeRequest(const JsonValue& doc) {
     req.error = "unknown engine storage \"" + engine_storage + "\"";
     return req;
   }
-  req.vopts.datalog.threads =
-      threads < 0 ? 0u : static_cast<unsigned>(threads);
+  req.vopts.datalog.threads = static_cast<unsigned>(threads);
   req.vopts.datalog.batch_size =
       batch_size <= 0 ? 1 : static_cast<std::size_t>(batch_size);
   req.vopts.concrete.env_threads = static_cast<int>(env_threads);
@@ -456,11 +467,8 @@ thread_local int tl_serve_slot = 0;
 
 struct ServeSession::Impl {
   explicit Impl(const ServeOptions& opts) : options(opts) {
-    unsigned threads = opts.threads;
-    if (threads == 0) {
-      threads = std::thread::hardware_concurrency();
-      if (threads == 0) threads = 1;
-    }
+    const unsigned threads =
+        opts.threads == 0 ? HardwareThreads() : opts.threads;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     // One warm engine per pool worker, plus slot 0 for calls from
     // non-worker threads (serialized by slot0_m).

@@ -43,9 +43,11 @@
 // exit_code 3) and the daemon keeps serving. Integer option fields are
 // range-checked during decoding: an out-of-range value (e.g. an
 // "env_threads" that would not survive the narrowing cast) is a decode
-// error, never a silently wrapped knob. Internal failures — a backend
-// exception, an allocation failure mid-render — answer the same error
-// envelope: errors never kill the stream.
+// error, never a silently wrapped knob. The same holds for the daemon's
+// ceilings: "time_budget_ms" must be at least 1 (no unlimited requests)
+// and "threads" must lie in 1..hardware concurrency. Internal failures
+// — a backend exception, an allocation failure mid-render — answer the
+// same error envelope: errors never kill the stream.
 //
 // In front of the pipeline sits a content-addressed verdict cache:
 // requests are fingerprinted by a canonical normalization — the pretty-

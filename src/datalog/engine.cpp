@@ -164,13 +164,19 @@ void Database::SetColumnar(PredId pred, bool columnar) {
 
 namespace {
 
-// Rule-local variable binding environment.
+// Rule-local variable binding frame. It is sized once per solve for the
+// widest rule, and every binding goes through the trail, so undoing the
+// trail leaves an all-unbound frame: Clear costs O(bound variables), not
+// O(frame size), which matters because the delta loop clears it for every
+// rule occurrence a tuple can fire.
 class Bindings {
  public:
-  void Reset(std::size_t num_vars) {
-    vals_.assign(num_vars, std::nullopt);
-    trail_.clear();
+  // Unbinds every variable and makes room for variables [0, num_vars).
+  void Resize(std::size_t num_vars) {
+    Clear();
+    if (vals_.size() < num_vars) vals_.resize(num_vars);
   }
+  void Clear() { Undo(0); }
   bool Bound(VarSym v) const { return vals_[v].has_value(); }
   Sym Get(VarSym v) const { return *vals_[v]; }
   void Bind(VarSym v, Sym s) {
@@ -301,6 +307,18 @@ void ValidateProgram(const Program& prog) {
 
 // --- reusable evaluator state -----------------------------------------------
 
+// One body occurrence of a predicate: body atom `pos` of rule `rule`. Its
+// constant arguments are the (argument position, constant) pairs
+// [consts_begin, consts_end) of EvaluatorArena::occ_consts; a delta tuple
+// that disagrees with one of them cannot match the atom, so the delta loop
+// skips the occurrence before touching the binding frame.
+struct Occurrence {
+  std::uint32_t rule;
+  std::uint32_t pos;
+  std::uint32_t consts_begin;
+  std::uint32_t consts_end;
+};
+
 // A lazy index over one predicate's extension for one bound-position
 // signature (bit i set = argument i is a lookup key). `consumed` counts
 // how many tuples of the extension have been folded in; probes catch the
@@ -346,9 +364,9 @@ struct ArgIndex {
 struct EvaluatorArena {
   Database db{0};
   std::deque<std::pair<PredId, std::uint32_t>> work;
-  // pred -> (rule index, body position) of every body occurrence.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-      rule_index;
+  // pred -> every body occurrence, in (rule, body position) order.
+  std::vector<std::vector<Occurrence>> rule_index;
+  std::vector<std::pair<std::uint32_t, Sym>> occ_consts;
   std::vector<std::uint32_t> max_var;  // per rule
   // pred -> signature mask -> index.
   std::vector<std::unordered_map<std::uint64_t, ArgIndex>> indexes;
@@ -361,6 +379,7 @@ struct EvaluatorArena {
   std::vector<std::uint8_t> own_growth;  // fallback hints (0 = EDB, 2 = IDB)
   std::vector<Sym> popbuf;               // worklist-pop tuple buffer
   std::vector<Sym> emit_buf;             // head-tuple buffer
+  std::vector<Sym> native_in;            // native-input buffer
 
   // Seeded-EDB snapshot of the previous solve. `facts_valid` holds only
   // when `db`'s first `base_counts[p]` tuples of every predicate are
@@ -568,8 +587,8 @@ class Evaluator {
     // Body-less rules with natives seed like facts, after native eval.
     for (const Rule& r : prog_.rules()) {
       if (!r.body.empty() || r.IsFact()) continue;
-      a_.env.Reset(MaxVar(r));
-      if (EvalNativesAndEmit(r, 0)) return true;
+      a_.env.Clear();
+      if (EvalNativesAndEmit(r)) return true;
     }
     return DrainWorklist();
   }
@@ -688,8 +707,8 @@ class Evaluator {
       seeding_tuples_ = 0;
       for (const Rule& r : prog_.rules()) {
         if (!r.IsFact() || !a_.dirty[r.head.pred]) continue;
-        a_.env.Reset(0);
-        if (EvalNativesAndEmit(r, 0)) {
+        a_.env.Clear();
+        if (EvalNativesAndEmit(r)) {
           seeding_ = false;
           if (stats_ != nullptr) stats_->delta_asserts += seeding_tuples_;
           return DeltaOutcome::kTerminating;
@@ -697,8 +716,8 @@ class Evaluator {
       }
       for (const Rule& r : prog_.rules()) {
         if (!r.body.empty() || r.IsFact() || !a_.dirty[r.head.pred]) continue;
-        a_.env.Reset(MaxVar(r));
-        if (EvalNativesAndEmit(r, 0)) {
+        a_.env.Clear();
+        if (EvalNativesAndEmit(r)) {
           seeding_ = false;
           if (stats_ != nullptr) stats_->delta_asserts += seeding_tuples_;
           return DeltaOutcome::kTerminating;
@@ -760,18 +779,32 @@ class Evaluator {
     const std::size_t np = prog_.num_preds();
     a_.rule_index.resize(np);
     for (auto& v : a_.rule_index) v.clear();
+    a_.occ_consts.clear();
     a_.max_var.clear();
     std::size_t max_body = 1;
+    std::size_t widest = 0;
     for (std::size_t ri = 0; ri < prog_.rules().size(); ++ri) {
       const Rule& r = prog_.rules()[ri];
       a_.max_var.push_back(static_cast<std::uint32_t>(MaxVar(r)));
+      widest = std::max<std::size_t>(widest, a_.max_var.back());
       if (r.body.size() > max_body) max_body = r.body.size();
       if (dirty != nullptr && !(*dirty)[r.head.pred]) continue;
       for (std::size_t bi = 0; bi < r.body.size(); ++bi) {
-        a_.rule_index[r.body[bi].pred].push_back(
-            {static_cast<std::uint32_t>(ri), static_cast<std::uint32_t>(bi)});
+        const Atom& atom = r.body[bi];
+        Occurrence occ{static_cast<std::uint32_t>(ri),
+                       static_cast<std::uint32_t>(bi),
+                       static_cast<std::uint32_t>(a_.occ_consts.size()), 0};
+        for (std::size_t i = 0; i < atom.args.size(); ++i) {
+          if (atom.args[i].kind == Term::Kind::kConst) {
+            a_.occ_consts.push_back(
+                {static_cast<std::uint32_t>(i), atom.args[i].val});
+          }
+        }
+        occ.consts_end = static_cast<std::uint32_t>(a_.occ_consts.size());
+        a_.rule_index[atom.pred].push_back(occ);
       }
     }
+    a_.env.Resize(widest);
     if (a_.scratch.size() < max_body) a_.scratch.resize(max_body);
     a_.indexes.resize(np);
     a_.work.clear();
@@ -786,21 +819,35 @@ class Evaluator {
   }
 
   // Joins each newly derived tuple as the delta of every indexed body
-  // occurrence of its predicate. Returns true when the goal was emitted.
+  // occurrence of its predicate, in occurrence order. An occurrence whose
+  // constants the tuple contradicts is skipped before the frame is
+  // touched; Match would reject it on the same constants, and delta
+  // matches are not counted as join attempts, so the skip changes no
+  // counter and no derivation. Returns true when the goal was emitted.
   bool DrainWorklist() {
     while (!a_.work.empty()) {
       const auto [pred, idx] = a_.work.front();
       a_.work.pop_front();
       a_.db.Row(pred, idx, &a_.popbuf);
-      for (const auto& [ri, bi] : a_.rule_index[pred]) {
-        const Rule& r = prog_.rules()[ri];
-        a_.env.Reset(a_.max_var[ri]);
-        if (!Match(r.body[bi].args, a_.popbuf, a_.env)) continue;
-        PlanOrder(r, ri, bi);
+      for (const Occurrence& occ : a_.rule_index[pred]) {
+        if (!ConstantsAgree(occ, a_.popbuf)) continue;
+        const Rule& r = prog_.rules()[occ.rule];
+        a_.env.Clear();
+        if (!Match(r.body[occ.pos].args, a_.popbuf, a_.env)) continue;
+        PlanOrder(r, occ.rule, occ.pos);
         if (JoinOrdered(r, 0)) return true;
       }
     }
     return false;
+  }
+
+  bool ConstantsAgree(const Occurrence& occ,
+                      const std::vector<Sym>& tuple) const {
+    for (std::uint32_t c = occ.consts_begin; c < occ.consts_end; ++c) {
+      const auto [i, sym] = a_.occ_consts[c];
+      if (tuple[i] != sym) return false;
+    }
+    return true;
   }
 
   // Seeds the EDB: either rolls the database back to the previous solve's
@@ -870,8 +917,8 @@ class Evaluator {
     seeding_ = true;
     for (const Rule& r : prog_.rules()) {
       if (!r.IsFact()) continue;
-      a_.env.Reset(0);
-      if (EvalNativesAndEmit(r, 0)) {
+      a_.env.Clear();
+      if (EvalNativesAndEmit(r)) {
         seeding_ = false;
         return true;  // a fact was the goal; snapshot stays invalid
       }
@@ -972,7 +1019,7 @@ class Evaluator {
   // Joins the body atoms in the planned order, starting at order index
   // `oi`; then evaluates natives and emits the head.
   bool JoinOrdered(const Rule& r, std::size_t oi) {
-    if (oi == a_.order_buf.size()) return EvalNativesAndEmit(r, 0);
+    if (oi == a_.order_buf.size()) return EvalNativesAndEmit(r);
     const Atom& atom = r.body[a_.order_buf[oi]];
     // Size snapshot: the recursion below can Emit into atom.pred, growing
     // its extension. Tuples inserted mid-join are joined later via their
@@ -1141,31 +1188,37 @@ class Evaluator {
     }
   }
 
-  bool EvalNativesAndEmit(const Rule& r, std::size_t at) {
-    if (at == r.natives.size()) return Emit(r);
-    const Native& n = r.natives[at];
-    std::vector<Sym> inputs;
-    inputs.reserve(n.inputs.size());
-    for (const Term& t : n.inputs) {
-      if (t.kind == Term::Kind::kConst) {
-        inputs.push_back(t.val);
-      } else {
-        // Guaranteed bound by ValidateProgram.
-        assert(a_.env.Bound(t.val) && "native input must be bound");
-        inputs.push_back(a_.env.Get(t.val));
-      }
-    }
-    Sym out = 0;
-    if (!n.fn(inputs, &out)) return false;
+  // Runs the rule's natives in order, then emits the head. Natives never
+  // branch (each yields at most one binding), so this is a loop; the
+  // inputs go through one arena buffer, which a native reads only during
+  // its own call.
+  bool EvalNativesAndEmit(const Rule& r) {
     const std::size_t mark = a_.env.Mark();
-    if (n.output.has_value()) {
-      if (a_.env.Bound(*n.output)) {
-        if (a_.env.Get(*n.output) != out) return false;
-      } else {
-        a_.env.Bind(*n.output, out);
+    std::vector<Sym>& inputs = a_.native_in;
+    for (const Native& n : r.natives) {
+      inputs.resize(n.inputs.size());
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const Term& t = n.inputs[i];
+        // Variables are guaranteed bound by ValidateProgram.
+        assert((t.kind == Term::Kind::kConst || a_.env.Bound(t.val)) &&
+               "native input must be bound");
+        inputs[i] = t.kind == Term::Kind::kConst ? t.val : a_.env.Get(t.val);
+      }
+      Sym out = 0;
+      bool ok = n.fn(inputs, &out);
+      if (ok && n.output.has_value()) {
+        if (a_.env.Bound(*n.output)) {
+          ok = a_.env.Get(*n.output) == out;
+        } else {
+          a_.env.Bind(*n.output, out);
+        }
+      }
+      if (!ok) {
+        a_.env.Undo(mark);
+        return false;
       }
     }
-    const bool found = EvalNativesAndEmit(r, at + 1);
+    const bool found = Emit(r);
     if (!found) a_.env.Undo(mark);
     return found;
   }

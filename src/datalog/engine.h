@@ -1,6 +1,14 @@
 // Bottom-up (semi-naive) Datalog evaluation with argument-hash indexes,
 // opt-in columnar storage with sorted merge-scan indexes, and cross-guess
 // delta solving.
+//
+// The semi-naive loop pops one derived tuple at a time and joins it as
+// the delta of each body occurrence of its predicate. An occurrence whose
+// constant arguments the tuple contradicts is skipped up front; the
+// binding frame is sized once per solve and cleared by undoing its trail;
+// native inputs go through reused scratch. None of this changes the join
+// order, so the derivation order and every EvalStats counter are those
+// of a plain occurrence-by-occurrence loop (DESIGN.md §7).
 #ifndef RAPAR_DATALOG_ENGINE_H_
 #define RAPAR_DATALOG_ENGINE_H_
 
@@ -265,11 +273,11 @@ struct EvaluatorArena;
 // accumulated across solves — while `total_stats` keeps the running sums.
 //
 // The engine owns an evaluator arena: the database, worklist, binding
-// frames and join indexes persist across Solve calls, so repeated solves
-// reuse their allocations. Across guesses it reuses *results* two ways:
-// when the fact set of the next program fingerprints equal to the
-// previous one the seeded EDB tuples (and their still-clean indexes) are
-// rolled back and re-used instead of re-inserted
+// frame, native scratch and join indexes persist across Solve calls, so
+// repeated solves reuse their allocations. Across guesses it reuses
+// *results* two ways: when the fact set of the next program fingerprints
+// equal to the previous one the seeded EDB tuples (and their still-clean
+// indexes) are rolled back and re-used instead of re-inserted
 // (EngineOptions::reuse_facts); with EngineOptions::delta_solve the
 // reuse extends to whole derived strata whose rules (and dependencies)
 // are unchanged.

@@ -127,6 +127,19 @@ class Emitter {
     return n;
   }
 
+  // The register values a native's value-symbol inputs stand for, decoded
+  // into per-thread scratch: assume/eval natives run once per candidate
+  // binding, so a fresh vector per call would cost an allocation each.
+  // Expr::Eval never re-enters a native, so one buffer per thread is safe.
+  static std::span<const Value> DecodeRegs(std::span<const Sym> in, Sym off) {
+    thread_local std::vector<Value> rv;
+    rv.resize(in.size());
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      rv[i] = static_cast<Value>(in[i] - off);
+    }
+    return rv;
+  }
+
   Native ExprCheck(const ExprPtr& expr) const {
     Native n;
     n.name = "assume";
@@ -137,10 +150,7 @@ class Emitter {
     const Sym off = val_off_;
     const Value dom = sys_.dom;
     n.fn = [expr, off, dom](std::span<const Sym> in, Sym*) {
-      std::vector<Value> rv;
-      rv.reserve(in.size());
-      for (Sym s : in) rv.push_back(static_cast<Value>(s - off));
-      return expr->Eval(rv, dom) != 0;
+      return expr->Eval(DecodeRegs(in, off), dom) != 0;
     };
     return n;
   }
@@ -156,10 +166,7 @@ class Emitter {
     const Sym off = val_off_;
     const Value dom = sys_.dom;
     n.fn = [expr, off, dom](std::span<const Sym> in, Sym* o) {
-      std::vector<Value> rv;
-      rv.reserve(in.size());
-      for (Sym s : in) rv.push_back(static_cast<Value>(s - off));
-      *o = off + static_cast<Sym>(expr->Eval(rv, dom));
+      *o = off + static_cast<Sym>(expr->Eval(DecodeRegs(in, off), dom));
       return true;
     };
     return n;

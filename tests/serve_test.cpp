@@ -63,6 +63,12 @@ struct RequestSpec {
   long long id = -1;
 };
 
+// The daemon's per-request threads ceiling.
+long long HardwareThreads() {
+  const unsigned n = std::thread::hardware_concurrency();
+  return n == 0 ? 1 : n;
+}
+
 serve::ServeOptions Opts(unsigned threads, std::size_t cache_entries = 1024) {
   serve::ServeOptions o;
   o.threads = threads;
@@ -236,6 +242,34 @@ TEST(ServeTest, ErrorEnvelopes) {
   EXPECT_EQ(session.cache_stats().misses, 0u);
 }
 
+// Clients cannot lift the daemon's ceilings: an unlimited time budget
+// and a threads value outside 1..hardware concurrency are decode errors;
+// the bounds themselves are accepted.
+TEST(ServeTest, RequestCeilings) {
+  serve::ServeSession session(Opts(1));
+  const std::string hw = std::to_string(HardwareThreads());
+  const std::string over = std::to_string(HardwareThreads() + 1);
+  const std::vector<std::string> rejected = {
+      "{\"time_budget_ms\":0}", "{\"time_budget_ms\":-1}",
+      "{\"threads\":0}",        "{\"threads\":-1}",
+      "{\"threads\":" + over + "}"};
+  for (const std::string& options : rejected) {
+    const JsonValue doc = Parse(
+        session.HandleLine(MakeLine("verify", kMpWriter, {}, "", -1, options)));
+    EXPECT_EQ(Str(doc, "command"), "error") << options;
+    EXPECT_NE(Str(doc, "error").find("out of range"), std::string::npos)
+        << options << " -> " << Str(doc, "error");
+  }
+  const std::vector<std::string> accepted = {
+      "{\"time_budget_ms\":1000}", "{\"threads\":1}",
+      "{\"threads\":" + hw + "}"};
+  for (const std::string& options : accepted) {
+    const JsonValue doc = Parse(
+        session.HandleLine(MakeLine("verify", kMpWriter, {}, "", -1, options)));
+    EXPECT_EQ(Str(doc, "command"), "verify") << options;
+  }
+}
+
 TEST(ServeTest, FingerprintSensitivity) {
   serve::ServeSession session(Opts(1));
   RequestSpec spec;
@@ -253,8 +287,9 @@ TEST(ServeTest, FingerprintSensitivity) {
 
   // datalog.threads is a scheduling knob, not an input: by the
   // determinism rule the verdict cannot depend on it, so it must not
-  // fragment the cache.
-  spec.options_json = "{\"backend\":\"datalog\",\"threads\":4}";
+  // fragment the cache. (The daemon caps it at the hardware concurrency.)
+  spec.options_json = "{\"backend\":\"datalog\",\"threads\":" +
+                      std::to_string(HardwareThreads()) + "}";
   const JsonValue threaded = Parse(session.HandleLine(RequestLine(spec)));
   EXPECT_EQ(Str(threaded, "fingerprint"), Str(datalog, "fingerprint"));
   EXPECT_EQ(Str(threaded, "cache"), "hit");
