@@ -35,7 +35,7 @@
 // residue class of the enumeration and merges the envelopes under
 // first-terminating-event-wins, bit-identical to a single-process run)
 // and checkpoint/resume (--checkpoint=FILE, --resume=FILE) — DESIGN.md
-// §14 and core/shard.h.
+// §13 and core/shard.h.
 //
 // Machine-readable output (--format=json) uses the stable envelopes of
 // core/result_json.h: verify/mg emit the verdict envelope (schema_version,
@@ -46,7 +46,9 @@
 //
 // Exit code: 0 = SAFE, 1 = UNSAFE, 2 = UNKNOWN, 3 = usage/input error.
 // For lint/dlanalyze: 0 = clean (notes allowed), 1 = warnings/errors.
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -89,8 +91,6 @@ struct Options {
   std::string backend = "simplified";
   int threads = 2;
   bool threads_set = false;
-  std::string engine_storage = "hash";
-  bool delta_solve = false;
   std::string tmai_domain = "auto";
   int tmai_max_iterations = 64;
   int tmai_widening_delay = 8;
@@ -130,7 +130,18 @@ struct FlagSpec {
   const char* commands;
   const char* help;
   void (*apply)(Options&, const char*);
+  // Numeric flags set `apply_int` (and leave `apply` null): ParseArgs
+  // hands it the value only if it is a whole decimal number in
+  // [min, max], and answers a usage error otherwise.
+  void (*apply_int)(Options&, long long) = nullptr;
+  long long min = 0;
+  long long max = 0;
 };
+
+// Ceilings shared with serve's request decoder (core/serve.cpp).
+constexpr long long kKnobMax = 1'000'000'000;  // time budget, TMAI knobs
+constexpr long long kMaxUnroll = 1'000'000;
+constexpr long long kMaxThreads = 4096;  // serve's env_threads cap
 
 constexpr char kAllCommands[] =
     "verify mg dump-datalog dlanalyze classify lint certcheck serve";
@@ -149,44 +160,50 @@ const FlagSpec kFlags[] = {
      "concrete: env threads in the instance (default 2); datalog: worker "
      "threads (default 0 = all hardware threads, 1 = serial); serve: "
      "request-pool workers (default 0 = all hardware threads)",
-     [](Options& o, const char* v) {
-       o.threads = std::atoi(v);
+     nullptr,
+     [](Options& o, long long v) {
+       o.threads = static_cast<int>(v);
        o.threads_set = true;
-     }},
+     },
+     0, kMaxThreads},
     {"--unroll", true, "K", "verify mg dump-datalog dlanalyze certcheck",
-     "unroll bound for dis loops (default 0 = reject loops)",
-     [](Options& o, const char* v) { o.unroll = std::atoi(v); }},
-    {"--engine-storage", true, "M", "verify mg",
-     "Datalog relation storage: hash|columnar|auto (default hash; auto "
-     "picks sorted columnar runs per predicate growth class)",
-     [](Options& o, const char* v) { o.engine_storage = v; }},
-    {"--delta-solve", false, nullptr, "verify mg",
-     "Datalog backend: carry derived facts across makeP guesses and "
-     "re-derive only dirty strata (verdict-identical; see DESIGN.md)",
-     [](Options& o, const char*) { o.delta_solve = true; }},
+     "unroll bound for dis loops (default 0 = reject loops)", nullptr,
+     [](Options& o, long long v) { o.unroll = static_cast<int>(v); }, 0,
+     kMaxUnroll},
     {"--tmai-domain", true, "D", "verify mg",
      "TMAI abstract domain: smallset|relational|auto (default auto = "
      "small-set first, relational retry on unknown)",
      [](Options& o, const char* v) { o.tmai_domain = v; }},
     {"--tmai-max-iterations", true, "N", "verify mg",
      "TMAI interference fixpoint rounds before giving up (default 64)",
-     [](Options& o, const char* v) { o.tmai_max_iterations = std::atoi(v); }},
+     nullptr,
+     [](Options& o, long long v) {
+       o.tmai_max_iterations = static_cast<int>(v);
+     },
+     0, kKnobMax},
     {"--tmai-widening-delay", true, "N", "verify mg",
-     "TMAI joins at one CFA node before disjuncts widen (default 8)",
-     [](Options& o, const char* v) { o.tmai_widening_delay = std::atoi(v); }},
+     "TMAI joins at one CFA node before disjuncts widen (default 8)", nullptr,
+     [](Options& o, long long v) {
+       o.tmai_widening_delay = static_cast<int>(v);
+     },
+     0, kKnobMax},
     {"--tmai-value-set-limit", true, "N", "verify mg",
      "TMAI explicit value-set size beyond which a set becomes top "
      "(default 16)",
-     [](Options& o, const char* v) {
-       o.tmai_value_set_limit = std::atoi(v);
-     }},
+     nullptr,
+     [](Options& o, long long v) {
+       o.tmai_value_set_limit = static_cast<int>(v);
+     },
+     0, kKnobMax},
     {"--cert", true, "FILE", "certcheck",
      "certificate JSON to validate (bare object, or a verify/mg "
      "--format=json envelope containing one)",
      [](Options& o, const char* v) { o.cert_file = v; }},
     {"--budget-ms", true, "N", "verify mg",
-     "wall-clock budget in ms, 0 = unlimited (default 30000)",
-     [](Options& o, const char* v) { o.budget_ms = std::atoll(v); }},
+     "wall-clock budget in ms, 0 = unlimited (default 30000, at most "
+     "1000000000)",
+     nullptr, [](Options& o, long long v) { o.budget_ms = v; }, 0,
+     kKnobMax},
     {"--witness", false, nullptr, "verify mg",
      "print the witness run on UNSAFE",
      [](Options& o, const char*) { o.witness = true; }},
@@ -194,13 +211,17 @@ const FlagSpec kFlags[] = {
      "goal message variable",
      [](Options& o, const char* v) { o.goal_var = v; }},
     {"--val", true, "N", "mg dump-datalog dlanalyze", "goal message value",
-     [](Options& o, const char* v) { o.goal_val = std::atoi(v); }},
+     nullptr,
+     [](Options& o, long long v) { o.goal_val = static_cast<int>(v); }, 0,
+     INT_MAX},
     {"--format", true, "F", "verify mg lint dlanalyze certcheck",
      "text|json (default text); json uses the stable schema of "
      "core/result_json.h",
      [](Options& o, const char* v) { o.format = v; }},
     {"--guess", true, "N", "dlanalyze", "which makeP guess to analyze",
-     [](Options& o, const char* v) { o.guess_index = std::atoi(v); }},
+     nullptr,
+     [](Options& o, long long v) { o.guess_index = static_cast<int>(v); }, 0,
+     INT_MAX},
     {"--dot", false, nullptr, "dlanalyze",
      "emit the dependency graph as Graphviz",
      [](Options& o, const char*) { o.dot = true; }},
@@ -210,10 +231,11 @@ const FlagSpec kFlags[] = {
     {"--cache-entries", true, "N", "serve",
      "verdict-cache capacity in entries, 0 disables the cache "
      "(default 1024)",
-     [](Options& o, const char* v) { o.cache_entries = std::atoll(v); }},
+     nullptr, [](Options& o, long long v) { o.cache_entries = v; }, 0,
+     LLONG_MAX},
     {"--cache-bytes", true, "N", "serve",
-     "verdict-cache resident-bytes ceiling (default 67108864)",
-     [](Options& o, const char* v) { o.cache_bytes = std::atoll(v); }},
+     "verdict-cache resident-bytes ceiling (default 67108864)", nullptr,
+     [](Options& o, long long v) { o.cache_bytes = v; }, 0, LLONG_MAX},
     {"--pretty", false, nullptr, "serve",
      "indent response envelopes (default: one response per line)",
      [](Options& o, const char*) { o.pretty = true; }},
@@ -224,11 +246,12 @@ const FlagSpec kFlags[] = {
      "datalog backend: split the guess scan over N shard subprocesses "
      "and merge their envelopes (first terminating event wins; "
      "default 1 = no sharding)",
-     [](Options& o, const char* v) { o.shards = std::atoll(v); }},
+     nullptr, [](Options& o, long long v) { o.shards = v; }, 1, LLONG_MAX},
     {"--shard-index", true, "I", "verify mg",
      "run only shard I of --shards in this process (what the "
      "orchestrator spawns; emits a per-shard envelope)",
-     [](Options& o, const char* v) { o.shard_index = std::atoll(v); }},
+     nullptr, [](Options& o, long long v) { o.shard_index = v; }, 0,
+     LLONG_MAX},
     {"--checkpoint", true, "FILE", "verify mg",
      "write scan checkpoints to FILE (atomic tmp+rename; with --shards "
      "the orchestrator writes FILE.shard<i> per shard)",
@@ -240,11 +263,13 @@ const FlagSpec kFlags[] = {
     {"--checkpoint-every", true, "N", "verify mg",
      "guess solves between periodic checkpoints (default 64 when "
      "--checkpoint is given)",
-     [](Options& o, const char* v) { o.checkpoint_every = std::atoll(v); }},
+     nullptr, [](Options& o, long long v) { o.checkpoint_every = v; }, 0,
+     LLONG_MAX},
     {"--scan-limit", true, "N", "verify mg",
      "stop after N guess solves this run and checkpoint (deterministic "
      "truncation for kill-and-resume; 0 = unlimited)",
-     [](Options& o, const char* v) { o.scan_limit = std::atoll(v); }},
+     nullptr, [](Options& o, long long v) { o.scan_limit = v; }, 0,
+     LLONG_MAX},
     {"--metrics", false, nullptr, "verify mg",
      "print the telemetry registry after the verdict",
      [](Options& o, const char*) { o.metrics = true; }},
@@ -266,6 +291,24 @@ bool CommandIn(const std::string& cmd, const char* list) {
     p = end + 1;
   }
   return false;
+}
+
+// Strict numeric flag value: an optional '-' and decimal digits, nothing
+// else, within [min, max]. Prints a usage error naming the flag otherwise.
+bool ParseIntFlag(const std::string& flag, const char* text, long long min,
+                  long long max, long long* out) {
+  const char* end = text + std::strlen(text);
+  long long v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || ptr == text || v < min || v > max) {
+    std::fprintf(stderr,
+                 "invalid value for %s: '%s' (expected an integer in "
+                 "[%lld, %lld])\n",
+                 flag.c_str(), text, min, max);
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 const FlagSpec* FindFlag(const std::string& name) {
@@ -369,7 +412,13 @@ int ParseArgs(int argc, char** argv, Options* opts) {
       std::fprintf(stderr, "flag %s takes no value\n", name.c_str());
       return 3;
     }
-    spec->apply(*opts, value);
+    if (spec->apply_int != nullptr) {
+      long long n = 0;
+      if (!ParseIntFlag(name, value, spec->min, spec->max, &n)) return 3;
+      spec->apply_int(*opts, n);
+    } else {
+      spec->apply(*opts, value);
+    }
   }
   return 0;
 }
@@ -593,8 +642,6 @@ int RunShardedVerify(const Options& opts, bool mg) {
   if (opts.unroll != 0) {
     base.push_back("--unroll=" + std::to_string(opts.unroll));
   }
-  base.push_back("--engine-storage=" + opts.engine_storage);
-  if (opts.delta_solve) base.push_back("--delta-solve");
   base.push_back("--budget-ms=" + std::to_string(opts.budget_ms));
   if (mg) {
     base.push_back("--var=" + opts.goal_var);
@@ -684,9 +731,6 @@ int RunVerify(const Options& opts, bool mg) {
                       "--checkpoint-every/--scan-limit require "
                       "--backend=datalog");
   }
-  if (opts.shards < 1) {
-    return FailVerify(opts, "--shards must be >= 1");
-  }
   if (opts.shard_index >= 0 && opts.shards <= 1) {
     return FailVerify(opts, "--shard-index requires --shards=N with N > 1");
   }
@@ -747,18 +791,6 @@ int RunVerify(const Options& opts, bool mg) {
                  opts.tmai_domain.c_str());
     return 3;
   }
-  if (opts.engine_storage == "hash") {
-    vopts.datalog.engine.storage = rapar::dl::StorageMode::kHash;
-  } else if (opts.engine_storage == "columnar") {
-    vopts.datalog.engine.storage = rapar::dl::StorageMode::kColumnar;
-  } else if (opts.engine_storage == "auto") {
-    vopts.datalog.engine.storage = rapar::dl::StorageMode::kAuto;
-  } else {
-    std::fprintf(stderr, "unknown engine storage '%s'\n",
-                 opts.engine_storage.c_str());
-    return 3;
-  }
-  vopts.datalog.engine.delta_solve = opts.delta_solve;
   vopts.tmai.max_iterations = opts.tmai_max_iterations;
   vopts.tmai.widening_delay = opts.tmai_widening_delay;
   vopts.tmai.value_set_limit = opts.tmai_value_set_limit;
@@ -768,10 +800,7 @@ int RunVerify(const Options& opts, bool mg) {
     // For the Datalog backend (raced by the portfolio) --threads selects
     // the worker-pool size (0 = all hardware threads, also the default).
     vopts.datalog.threads =
-        opts.threads_set ? static_cast<unsigned>(opts.threads < 0
-                                                     ? 0
-                                                     : opts.threads)
-                         : 0;
+        opts.threads_set ? static_cast<unsigned>(opts.threads) : 0;
   }
   vopts.time_budget_ms = opts.budget_ms;
   vopts.obs.trace = trace;
@@ -1013,8 +1042,7 @@ int DlAnalyze(const Options& opts) {
   rapar::GuessEnumOptions gopts;
   std::vector<rapar::DisGuess> guesses =
       rapar::EnumerateDisGuesses(sys.value().simpl(), gopts, &complete);
-  if (opts.guess_index < 0 ||
-      static_cast<std::size_t>(opts.guess_index) >= guesses.size()) {
+  if (static_cast<std::size_t>(opts.guess_index) >= guesses.size()) {
     std::fprintf(stderr, "--guess %d out of range (have %zu guesses)\n",
                  opts.guess_index, guesses.size());
     return 3;
@@ -1091,16 +1119,10 @@ int DlAnalyze(const Options& opts) {
 // protocol). Runs until EOF on stdin.
 int Serve(const Options& opts) {
   rapar::serve::ServeOptions sopts;
-  sopts.threads = opts.threads_set
-                      ? static_cast<unsigned>(opts.threads < 0 ? 0
-                                                               : opts.threads)
-                      : 0;
-  sopts.cache_entries = opts.cache_entries < 0
-                            ? 0
-                            : static_cast<std::size_t>(opts.cache_entries);
-  sopts.cache_bytes = opts.cache_bytes < 0
-                          ? 0
-                          : static_cast<std::size_t>(opts.cache_bytes);
+  sopts.threads =
+      opts.threads_set ? static_cast<unsigned>(opts.threads) : 0;
+  sopts.cache_entries = static_cast<std::size_t>(opts.cache_entries);
+  sopts.cache_bytes = static_cast<std::size_t>(opts.cache_bytes);
   sopts.pretty = opts.pretty;
   sopts.revalidate_certificates = opts.cert_revalidate;
   rapar::serve::ServeSession session(sopts);

@@ -222,7 +222,6 @@ Request DecodeRequest(const JsonValue& doc) {
   // range-checked here so an out-of-range value answers a decode error.
   req.backend_name = "simplified";
   req.tmai_domain_name = "auto";
-  std::string engine_storage = "hash";
   long long threads = 1, batch_size = 32, env_threads = 2;
   long long max_states = -1, max_depth = -1, max_guesses = -1;
   long long time_budget_ms = 30'000, unroll = 0;
@@ -238,9 +237,6 @@ Request DecodeRequest(const JsonValue& doc) {
                  &req.error) ||
         !GetBool(*opts, "enable_dlopt", &req.vopts.datalog.enable_dlopt,
                  &req.error) ||
-        !GetString(*opts, "engine_storage", &engine_storage, &req.error) ||
-        !GetBool(*opts, "delta_solve",
-                 &req.vopts.datalog.engine.delta_solve, &req.error) ||
         !GetIntRange(*opts, "threads", &threads, 1, HardwareThreads(),
                      &req.error) ||
         !GetIntRange(*opts, "batch_size", &batch_size, 0, 1 << 24,
@@ -286,16 +282,6 @@ Request DecodeRequest(const JsonValue& doc) {
     req.vopts.tmai.domain = tmai::Domain::kAuto;
   } else {
     req.error = "unknown TMAI domain \"" + req.tmai_domain_name + "\"";
-    return req;
-  }
-  if (engine_storage == "hash") {
-    req.vopts.datalog.engine.storage = dl::StorageMode::kHash;
-  } else if (engine_storage == "columnar") {
-    req.vopts.datalog.engine.storage = dl::StorageMode::kColumnar;
-  } else if (engine_storage == "auto") {
-    req.vopts.datalog.engine.storage = dl::StorageMode::kAuto;
-  } else {
-    req.error = "unknown engine storage \"" + engine_storage + "\"";
     return req;
   }
   req.vopts.datalog.threads = static_cast<unsigned>(threads);
@@ -362,10 +348,8 @@ std::string CanonicalRequest(const Request& req, const ParamSystem& sys) {
   s += vo.enable_prepass ? '1' : '0';
   s += "\ndlopt=";
   s += vo.datalog.enable_dlopt ? '1' : '0';
-  // Only the three legacy engine toggles participate. engine.storage and
-  // engine.delta_solve are deliberately EXCLUDED (like datalog.threads):
-  // they are verdict-invariant evaluation strategies, so requests that
-  // differ only in those knobs must share one cache entry.
+  // The three engine toggles participate; datalog.threads is deliberately
+  // excluded (it never changes the verdict).
   s += "\nengine=";
   s += vo.datalog.engine.use_index ? '1' : '0';
   s += vo.datalog.engine.reorder_joins ? '1' : '0';

@@ -1,5 +1,5 @@
 // Multi-process guess-space sharding: checkpoint file IO, the shard
-// subprocess runner, and the envelope merge (DESIGN.md §14).
+// subprocess runner, and the envelope merge (DESIGN.md §13).
 //
 // The orchestrator behind `rapar_cli verify --shards=N`: spawn one
 // subprocess per shard (each scanning its residue class of the guess

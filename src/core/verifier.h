@@ -87,7 +87,7 @@ struct DatalogBackendOptions {
   // engine per pool worker alive across requests. Ignored when
   // threads != 1 — the parallel driver owns one engine per worker.
   dl::Engine* warm_engine = nullptr;
-  // ---- Sharding / checkpoint / resume (DESIGN.md §14) ----
+  // ---- Sharding / checkpoint / resume (DESIGN.md §13) ----
   // Stride sharding of the guess enumeration: this run scans exactly the
   // global indices ≡ shard_index (mod shard_count). The default (0 of 1)
   // scans everything. The `rapar_cli verify --shards=N` orchestrator
@@ -161,7 +161,8 @@ struct VerifierOptions {
   // Resource bounds (apply per backend as applicable). time_budget_ms is
   // a wall-clock deadline enforced cooperatively by every backend; on
   // expiry the verdict degrades to kUnknown and Verdict::stopped_phase
-  // names the phase that was cut short.
+  // names the phase that was cut short. A value <= 0, or one reaching past
+  // the steady clock's range, is unlimited (common/deadline.h).
   std::size_t max_states = 1'000'000;
   int max_depth = 100'000;
   long long time_budget_ms = 0;
@@ -218,7 +219,6 @@ struct Verdict {
   std::size_t index_hits() const;
   std::size_t index_builds() const;
   std::size_t fact_reuses() const;
-  std::size_t merge_scans() const;  // columnar storage: merge-scan probes
   // Index of the guess whose query blew the tuple budget; kNoGuessIndex
   // when no abort occurred.
   std::size_t budget_aborted_guess() const;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/deadline.h"
 #include "common/sharded_counter.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -24,25 +25,6 @@
 namespace rapar {
 
 namespace {
-
-// Cooperative wall-clock deadline (time_budget_ms). Checked once per
-// solve, so the clock read is negligible next to the work it bounds.
-class Deadline {
- public:
-  explicit Deadline(long long ms) {
-    if (ms > 0) {
-      limited_ = true;
-      at_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-    }
-  }
-  bool Expired() const {
-    return limited_ && std::chrono::steady_clock::now() > at_;
-  }
-
- private:
-  bool limited_ = false;
-  std::chrono::steady_clock::time_point at_;
-};
 
 // Lap timer for the per-layer phase gauges (PhaseTimes).
 class PhaseClock {
@@ -197,10 +179,6 @@ void Accumulate(DatalogVerdict& v, const GuessOutcome& o) {
   v.index_probes += o.stats.index_probes;
   v.index_hits += o.stats.index_hits;
   v.index_builds += o.stats.index_builds;
-  v.merge_scans += o.stats.merge_scans;
-  v.delta_retracts += o.stats.delta_retracts;
-  v.delta_asserts += o.stats.delta_asserts;
-  v.delta_reseeded_strata += o.stats.delta_reseeded_strata;
   if (v.width_report.empty() && !o.width_report.empty()) {
     v.width_report = o.width_report;
   }

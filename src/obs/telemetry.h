@@ -53,12 +53,6 @@ inline constexpr char kIndexProbes[] = "engine.index_probes";
 inline constexpr char kIndexHits[] = "engine.index_hits";
 inline constexpr char kIndexBuilds[] = "engine.index_builds";
 inline constexpr char kFactReuses[] = "engine.fact_reuses";
-// Present only when columnar storage answered probes by merge scan.
-inline constexpr char kMergeScans[] = "engine.merge_scans";
-// Present only when cross-guess delta solving retained/retracted strata.
-inline constexpr char kDeltaRetracts[] = "engine.delta_retracts";
-inline constexpr char kDeltaAsserts[] = "engine.delta_asserts";
-inline constexpr char kDeltaReseededStrata[] = "engine.delta_reseeded_strata";
 
 inline constexpr char kPrepassDeadEdges[] = "prepass.dead_edges_removed";
 inline constexpr char kPrepassGuardsFolded[] = "prepass.guards_folded";
@@ -116,7 +110,7 @@ inline constexpr char kPortfolioSimplifiedMs[] = "portfolio.simplified_ms";
 inline constexpr char kPortfolioDatalogMs[] = "portfolio.datalog_ms";
 inline constexpr char kPortfolioCancelled[] = "portfolio.cancelled";
 
-// Guess-space sharding & checkpoint/resume (DESIGN.md §14). Present only
+// Guess-space sharding & checkpoint/resume (DESIGN.md §13). Present only
 // when a run actually shards (shard.count > 1), resumes (nonzero
 // checkpoint.resume_offset) or writes checkpoints, so default envelopes
 // are unchanged. shard.terminating_index is the *global* enumeration

@@ -2,32 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <deque>
 #include <unordered_map>
+
+#include "common/deadline.h"
 
 namespace rapar {
 
 namespace {
 
-// Shared deadline + external-cancellation bookkeeping.
+// Shared deadline + external-cancellation bookkeeping. The clock and the
+// token are polled every 64th call.
 struct Budget {
-  std::chrono::steady_clock::time_point deadline;
-  bool limited = false;
+  Deadline deadline;
   std::size_t ticks = 0;
   const CancellationToken* cancel = nullptr;
 
   explicit Budget(long long ms, const CancellationToken* cancel_token)
-      : cancel(cancel_token) {
-    if (ms > 0) {
-      limited = true;
-      deadline =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-    }
-  }
+      : deadline(ms), cancel(cancel_token) {}
   bool Expired() {
-    if ((limited || cancel != nullptr) && (++ticks & 63) == 0) {
-      if (limited && std::chrono::steady_clock::now() > deadline) hit = true;
+    if ((deadline.limited() || cancel != nullptr) && (++ticks & 63) == 0) {
+      if (deadline.Expired()) hit = true;
       if (cancel != nullptr && cancel->cancelled()) cancelled = true;
     }
     return hit || cancelled;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
+#include "common/deadline.h"
 #include "core/benchmarks.h"
 #include "lang/parser.h"
 
@@ -204,6 +207,63 @@ TEST(BenchmarkSuiteTest, DeprecatedWrappersDelegateToRun) {
   VarId x = pc.system.vars().Find("x");
   EXPECT_EQ(verifier.VerifyMessageGeneration(x, 1).result,
             verifier.Run(std::pair{x, Value{1}}).result);
+}
+
+TEST(DeadlineTest, NonPositiveAndHugeBudgetsAreUnlimited) {
+  for (const long long ms : {0LL, -1LL, LLONG_MIN, LLONG_MAX}) {
+    const Deadline d(ms);
+    EXPECT_FALSE(d.limited()) << ms;
+    EXPECT_FALSE(d.Expired()) << ms;
+  }
+  const Deadline hour(3'600'000);
+  EXPECT_TRUE(hour.limited());
+  EXPECT_FALSE(hour.Expired());
+}
+
+// A budget too large for "now + ms" must not wrap into the past: on the MP
+// pair every backend with a deadline answers what it answers unlimited.
+TEST(DeadlineTest, HugeBudgetMatchesUnlimitedOnEveryBackend) {
+  Program writer = MustParse(R"(
+    program writer
+    vars x y
+    regs one
+    dom 2
+    begin
+      one := 1;
+      y := one;
+      x := one
+    end
+  )");
+  Program reader = MustParse(R"(
+    program reader
+    vars x y
+    regs a b
+    dom 2
+    begin
+      a := x;
+      assume (a == 1);
+      b := y;
+      assume (b == 0);
+      assert false
+    end
+  )");
+  ParamSystem::Builder b;
+  auto sys = b.Env(std::move(writer)).Dis(std::move(reader)).Build();
+  ASSERT_TRUE(sys.ok()) << sys.error();
+  SafetyVerifier verifier(sys.value());
+  for (const Backend backend :
+       {Backend::kDatalog, Backend::kSimplifiedExplorer, Backend::kConcrete}) {
+    VerifierOptions unlimited;
+    unlimited.backend = backend;
+    unlimited.time_budget_ms = 0;
+    VerifierOptions huge = unlimited;
+    huge.time_budget_ms = LLONG_MAX;
+    const Verdict a = verifier.Run(std::nullopt, unlimited);
+    const Verdict h = verifier.Run(std::nullopt, huge);
+    EXPECT_EQ(a.result, Verdict::Result::kSafe) << static_cast<int>(backend);
+    EXPECT_EQ(h.result, a.result) << static_cast<int>(backend);
+    EXPECT_EQ(h.ToString(), a.ToString()) << static_cast<int>(backend);
+  }
 }
 
 }  // namespace

@@ -622,10 +622,9 @@ std::ostream& operator<<(std::ostream& os, const SolveTotals& t) {
 
 // Runs every guess of `sys` the way the Datalog backend does (makeP, then
 // dlopt with its join hints, then Engine::Solve), twice over on one
-// engine so the second pass runs on a warm arena (fact reuse, or the
-// retained delta snapshot). Sums the per-solve counters.
-SolveTotals SolveEveryGuessTwice(const SimplSystem& sys,
-                                 const EngineOptions& engine_options) {
+// engine so the second pass runs on a warm arena (fact reuse), at default
+// engine options. Sums the per-solve counters.
+SolveTotals SolveEveryGuessTwice(const SimplSystem& sys) {
   std::vector<DisGuess> guesses;
   DisGuessCursor cursor(sys, GuessEnumOptions{});
   while (cursor.NextChunk(64, &guesses) != 0) {
@@ -644,7 +643,6 @@ SolveTotals SolveEveryGuessTwice(const SimplSystem& sys,
       const JoinHints hints =
           dlopt::MakeJoinHints(dlopt::PredGraph::Build(prog));
       EvalOptions opts;
-      opts.engine = engine_options;
       opts.hints = &hints;
       const bool derived = engine.Solve(prog, inst.goal, opts);
       const EvalStats& s = engine.last_stats();
@@ -665,44 +663,25 @@ TEST(EngineCounterParityTest, DeepSolveInstancesMatchGoldenStats) {
   struct Golden {
     const char* name;
     SolveTotals plain;
-    SolveTotals delta;
   };
   const Golden goldens[] = {
       // {tuples, rule_firings, join_attempts, index_probes, index_hits,
       //  goal_found, derived}, summed over both passes.
-      {"tqbf2#0",
-       {2546, 4610, 4136, 1502, 4136, false, false},
-       {2546, 2305, 2068, 751, 2068, false, false}},
-      {"tqbf2#1",
-       {790, 838, 440, 570, 440, false, false},
-       {790, 419, 220, 285, 220, false, false}},
-      {"tqbf2#2",
-       {1812, 2820, 2416, 918, 2416, false, false},
-       {1812, 1410, 1208, 459, 1208, false, false}},
-      {"tqbf2#3",
-       {4480, 11474, 10824, 3302, 10824, true, true},
-       {4480, 11474, 10824, 3302, 10824, true, true}},
-      {"tqbf3#0",
-       {30516, 217988, 215546, 18890, 215546, false, false},
-       {30516, 108994, 107773, 9445, 107773, false, false}},
-      {"tqbf3#1",
-       {36246, 280978, 277970, 22382, 277970, true, true},
-       {36246, 280978, 277970, 22382, 277970, true, true}},
-      {"pc-safe(12)",
-       {88, 112, 52, 36, 28, false, false},
-       {88, 56, 26, 18, 14, false, false}},
+      {"tqbf2#0", {2546, 4610, 4136, 1502, 4136, false, false}},
+      {"tqbf2#1", {790, 838, 440, 570, 440, false, false}},
+      {"tqbf2#2", {1812, 2820, 2416, 918, 2416, false, false}},
+      {"tqbf2#3", {4480, 11474, 10824, 3302, 10824, true, true}},
+      {"tqbf3#0", {30516, 217988, 215546, 18890, 215546, false, false}},
+      {"tqbf3#1", {36246, 280978, 277970, 22382, 277970, true, true}},
+      {"pc-safe(12)", {88, 112, 52, 36, 28, false, false}},
   };
   const std::vector<DeepInstance> instances = DeepSolveInstances();
   ASSERT_EQ(instances.size(), std::size(goldens));
-  EngineOptions delta;
-  delta.delta_solve = true;
   for (std::size_t i = 0; i < instances.size(); ++i) {
     ASSERT_EQ(instances[i].name, goldens[i].name);
     const SimplSystem& sys = instances[i].system.simpl();
-    EXPECT_EQ(SolveEveryGuessTwice(sys, EngineOptions{}), goldens[i].plain)
+    EXPECT_EQ(SolveEveryGuessTwice(sys), goldens[i].plain)
         << goldens[i].name << " (default options)";
-    EXPECT_EQ(SolveEveryGuessTwice(sys, delta), goldens[i].delta)
-        << goldens[i].name << " (delta_solve)";
   }
 }
 

@@ -1,5 +1,5 @@
 // Differential checks for multi-process guess-space sharding and
-// checkpoint/resume (core/shard.h, DESIGN.md §14). The contract under
+// checkpoint/resume (core/shard.h, DESIGN.md §13). The contract under
 // test: stride sharding partitions the guess enumeration, so merging
 // per-shard envelopes under first-terminating-event-wins must reproduce
 // the single-process verdict, witness and guess accounting bit for bit —
