@@ -24,18 +24,18 @@ cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$jobs"
 ctest --preset asan-ubsan -j "$jobs"
 
-# The parallel verification driver and the engine it fans out, raced
-# under TSan, plus the portfolio driver (TMAI prepass under the kAuto
-# domain — small-set plus the relational retry — then simplified vs
-# Datalog on a shared CancellationToken). Only the concurrency-relevant
-# suites are built: the rest of the tree is single-threaded and covered
-# by the presets above.
+# The guess-scan driver and the engine it fans out, raced under TSan,
+# plus the portfolio driver (TMAI prepass under the kAuto domain —
+# small-set plus the relational retry — then simplified vs Datalog on a
+# shared CancellationToken) and the serve daemon's request pool. Only the
+# concurrency-relevant suites are built: the rest of the tree is
+# single-threaded and covered by the presets above.
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
   --target parallel_differential_test datalog_index_differential_test \
-  tmai_soundness_test shard_parity_test
+  tmai_soundness_test shard_parity_test serve_test
 ctest --preset tsan \
-  -R 'ParallelDifferential|IndexDifferential|TmaiPortfolio|ShardParity' \
+  -R 'ParallelDifferential|IndexDifferential|TmaiPortfolio|ShardParity|ServeTest' \
   -j "$jobs"
 
 # Optional (CHECK_BENCH=1): reproduce the bench_backends tables and gate
@@ -56,7 +56,7 @@ if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
   # serve-mode smoke: three requests through the daemon (one repeated);
   # the repeat must answer from the verdict cache with cache.hits == 1
   # and an identical verdict.
-  cmake --build --preset default -j "$jobs" --target rapar_cli bench_serve
+  cmake --build --preset default -j "$jobs" --target rapar_cli
   req='{"id":1,"command":"verify","env_file":"examples/programs/mp_writer.rap","dis_files":["examples/programs/mp_reader_stale.rap"]}'
   bad='{"command":"nope"}'
   printf '%s\n' "$req" "$bad" "$req" \
@@ -67,12 +67,6 @@ if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
             and (.[2].verdict == .[0].verdict)
             and (.[2].telemetry["cache.hits"] == 1)' serve_smoke.jsonl
   rm -f serve_smoke.jsonl
-
-  # serve replay bench: cache hits must be at least 2x faster than cold
-  # sessions across the catalog, with verdict parity in every regime.
-  (cd build && ./bench/bench_serve --json --benchmark_filter=NONE)
-  jq -e '.totals.speedup_hit >= 2 and .totals.parity == "OK"' \
-    build/BENCH_serve.json
 
   # shard scaling: merged-envelope parity is a hard gate; the 4-shard
   # TQBF speedup gate self-reports SKIPPED on < 4 hardware threads.

@@ -33,8 +33,8 @@ class ThreadPool {
   unsigned size() const { return static_cast<unsigned>(deques_.size()); }
 
   // Enqueues a task. Never blocks; callers that need backpressure bound
-  // their in-flight count themselves (the Datalog driver uses a counting
-  // semaphore sized to a small multiple of the pool).
+  // their in-flight count themselves (the Datalog driver keeps at most a
+  // small multiple of the pool's size in chunks dispatched and unfolded).
   void Submit(std::function<void()> task);
 
   // Blocks until every task submitted so far has finished. Establishes

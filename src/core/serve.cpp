@@ -25,7 +25,6 @@
 #include "core/param_system.h"
 #include "core/result_json.h"
 #include "core/verifier.h"
-#include "datalog/engine.h"
 #include "lang/parser.h"
 #include "obs/telemetry.h"
 #include "tmai/certcheck.h"
@@ -43,7 +42,10 @@ struct Request {
   std::string id_json;  // pre-rendered echo; empty = no id
   bool mg = false;
   std::string env_text;
+  bool env_from_file = false;
+  // dis_texts[0, first_dis_file) came inline, the rest from dis_files.
   std::vector<std::string> dis_texts;
+  std::size_t first_dis_file = 0;
   std::string goal_var;
   long long goal_val = -1;
   int unroll = 0;
@@ -136,8 +138,8 @@ bool GetString(const JsonValue& obj, const char* key, std::string* out,
 // Decodes the request object into a Request. Defaults mirror the CLI
 // (30s budget, simplified backend) except datalog.threads, which
 // defaults to 1: the daemon parallelizes *across* requests, so each
-// request runs the serial loop on a warm per-worker engine unless the
-// client asks otherwise. Clients cannot lift the daemon's ceilings: a
+// request solves its guesses on the thread serving it unless the client
+// asks otherwise. Clients cannot lift the daemon's ceilings: a
 // time_budget_ms of 0 or less (unlimited on the CLI) and a threads
 // value outside 1..hardware concurrency (0/-1 would fan one request out
 // to every core inside an already pooled worker) are decode errors.
@@ -170,10 +172,12 @@ Request DecodeRequest(const JsonValue& doc) {
   std::string env_file;
   if (!GetString(doc, "env", &req.env_text, &req.error)) return req;
   if (!GetString(doc, "env_file", &env_file, &req.error)) return req;
-  if (req.env_text.empty() && !env_file.empty() &&
-      !ReadFile(env_file, &req.env_text)) {
-    req.error = "cannot read env file '" + env_file + "'";
-    return req;
+  if (req.env_text.empty() && !env_file.empty()) {
+    if (!ReadFile(env_file, &req.env_text)) {
+      req.error = "cannot read env file '" + env_file + "'";
+      return req;
+    }
+    req.env_from_file = true;
   }
   if (req.env_text.empty()) {
     req.error = "missing env program (\"env\" text or \"env_file\" path)";
@@ -192,6 +196,7 @@ Request DecodeRequest(const JsonValue& doc) {
       req.dis_texts.push_back(item.string);
     }
   }
+  req.first_dis_file = req.dis_texts.size();
   if (const JsonValue* dis_files = doc.Find("dis_files")) {
     if (!dis_files->is_array()) {
       req.error = "field 'dis_files' must be an array of paths";
@@ -303,19 +308,38 @@ Request DecodeRequest(const JsonValue& doc) {
   return req;
 }
 
+// Parses one request program; `field` names where it came from. A parse
+// error in a program read from a file reports only the position: the
+// full message quotes the offending token and source line, and the
+// daemon must not echo the contents of a file a request points it at.
+Expected<Program> ParseRequestProgram(const std::string& text,
+                                      const std::string& field,
+                                      bool from_file) {
+  SrcLoc at;
+  Expected<Program> p = ParseProgram(text, &at);
+  if (p.ok()) return p;
+  if (!from_file) return Expected<Program>::Error(field + ": " + p.error());
+  return Expected<Program>::Error(field + ": parse error at line " +
+                                  std::to_string(at.line) + ", column " +
+                                  std::to_string(at.col));
+}
+
 Expected<ParamSystem> BuildSystem(const Request& req) {
-  Expected<Program> env = ParseProgram(req.env_text);
-  if (!env.ok()) {
-    return Expected<ParamSystem>::Error("env: " + env.error());
-  }
+  Expected<Program> env = ParseRequestProgram(
+      req.env_text, req.env_from_file ? "env_file" : "env",
+      req.env_from_file);
+  if (!env.ok()) return Expected<ParamSystem>::Error(env.error());
   ParamSystem::Builder builder;
   builder.Env(std::move(env).value()).UnrollDis(req.unroll);
   for (std::size_t i = 0; i < req.dis_texts.size(); ++i) {
-    Expected<Program> dis = ParseProgram(req.dis_texts[i]);
-    if (!dis.ok()) {
-      return Expected<ParamSystem>::Error("dis[" + std::to_string(i) +
-                                          "]: " + dis.error());
-    }
+    const bool from_file = i >= req.first_dis_file;
+    const std::string field =
+        from_file
+            ? "dis_files[" + std::to_string(i - req.first_dis_file) + "]"
+            : "dis[" + std::to_string(i) + "]";
+    Expected<Program> dis =
+        ParseRequestProgram(req.dis_texts[i], field, from_file);
+    if (!dis.ok()) return Expected<ParamSystem>::Error(dis.error());
     builder.Dis(std::move(dis).value());
   }
   return builder.Build();
@@ -438,13 +462,6 @@ bool Definitive(const Verdict& v) {
   return v.result != Verdict::Result::kUnknown && v.stopped_phase.empty();
 }
 
-// Which warm-engine slot the calling thread owns. ThreadPool's worker
-// index is a process-wide thread_local, so a worker of some *other* pool
-// would alias our slots; Run()'s task wrapper tags its own workers with
-// the session they serve instead, and everyone else shares slot 0.
-thread_local const void* tl_serve_session = nullptr;
-thread_local int tl_serve_slot = 0;
-
 }  // namespace
 
 // --- session ----------------------------------------------------------------
@@ -454,9 +471,6 @@ struct ServeSession::Impl {
     const unsigned threads =
         opts.threads == 0 ? HardwareThreads() : opts.threads;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    // One warm engine per pool worker, plus slot 0 for calls from
-    // non-worker threads (serialized by slot0_m).
-    engines.resize((pool != nullptr ? pool->size() : 0) + 1);
   }
 
   struct CacheEntry {
@@ -538,14 +552,8 @@ struct ServeSession::Impl {
     evictions.fetch_add(1, std::memory_order_relaxed);
   }
 
-  dl::Engine* WarmEngine(int slot) {
-    return &engines[static_cast<std::size_t>(slot)];
-  }
-
   ServeOptions options;
   std::unique_ptr<ThreadPool> pool;
-  std::vector<dl::Engine> engines;
-  std::mutex slot0_m;  // serializes non-worker use of engines[0]
 
   std::mutex cache_m;
   std::list<CacheEntry> lru;  // front = most recently used
@@ -750,23 +758,12 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
     }
   }
 
-  // --- miss: run the pipeline on a warm engine ---
+  // --- miss: run the pipeline ---
   im.misses.fetch_add(1, std::memory_order_relaxed);
   std::string rendered;
   try {
-    const int slot = tl_serve_session == &im ? tl_serve_slot : 0;
-    // Pool workers own their slot outright (one task at a time);
-    // everyone else shares slot 0 behind a lock.
-    std::unique_lock<std::mutex> slot0_lock;
-    if (slot == 0) {
-      slot0_lock = std::unique_lock<std::mutex>(im.slot0_m);
-    }
-    VerifierOptions vopts = req.vopts;
-    vopts.datalog.warm_engine = im.WarmEngine(slot);
-
     SafetyVerifier verifier(sys.value());
-    Verdict v = verifier.Run(goal, vopts);
-    if (slot0_lock.owns_lock()) slot0_lock.unlock();
+    Verdict v = verifier.Run(goal, req.vopts);
     v.telemetry.SetGauge(obs::metric::kPhaseParseMs, parse_ms);
 
     // Memoize before stamping: the stored verdict carries no
@@ -774,7 +771,6 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
     VerifierOptions stored_opts = req.vopts;
     stored_opts.cancel = nullptr;
     stored_opts.obs.trace = nullptr;
-    stored_opts.datalog.warm_engine = nullptr;
 
     extras.cache = "miss";
     Verdict stamped = v;
@@ -876,8 +872,6 @@ void ServeSession::Run(std::istream& in, std::ostream& out) {
       window.push_back(slot);
     }
     impl_->pool->Submit([this, slot, &m, &cv] {
-      tl_serve_session = impl_.get();
-      tl_serve_slot = ThreadPool::CurrentWorkerIndex() + 1;
       std::string response;
       try {
         response = HandleLine(slot->line);

@@ -6,7 +6,7 @@
 // enumeration with `--shard-index=i`), capture the per-shard
 // `--format=json` envelopes, and merge them under the
 // first-terminating-event-wins rule into one envelope with a "shard"
-// section. Merge rule (mirrors the in-process parallel driver):
+// section. Merge rule (mirrors the in-process scan driver):
 //
 //   * The winning shard is the one with the minimum *global*
 //     terminating index (`shard.terminating_index` in its telemetry).

@@ -357,7 +357,6 @@ Verdict RunDatalog(const ParamSystem& system,
   opts.engine = options.datalog.engine;
   opts.threads = options.datalog.threads;
   opts.batch_size = options.datalog.batch_size;
-  opts.warm_engine = options.datalog.warm_engine;
   opts.time_budget_ms = options.time_budget_ms;
   opts.trace = options.obs.trace;
   opts.cancel = options.cancel;
@@ -671,15 +670,6 @@ Verdict SafetyVerifier::Run(std::optional<std::pair<VarId, Value>> goal,
   }
   v.telemetry.SetGauge(obs::metric::kPhaseTotalMs, MsSince(start));
   return v;
-}
-
-Verdict SafetyVerifier::Verify(const VerifierOptions& options) const {
-  return Run(std::nullopt, options);
-}
-
-Verdict SafetyVerifier::VerifyMessageGeneration(
-    VarId var, Value val, const VerifierOptions& options) const {
-  return Run(std::pair<VarId, Value>{var, val}, options);
 }
 
 }  // namespace rapar

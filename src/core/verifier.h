@@ -9,9 +9,7 @@
 //
 // Run() is the single entry point: the goal selects the question
 // (std::nullopt = assert-false reachability, a (var, val) pair = Message
-// Generation), VerifierOptions::backend selects the engine. The legacy
-// Verify()/VerifyMessageGeneration() wrappers survive as deprecated
-// aliases of Run().
+// Generation), VerifierOptions::backend selects the engine.
 //
 // Backends:
 //   kSimplifiedExplorer — saturation over the simplified semantics (§3);
@@ -74,19 +72,13 @@ struct DatalogBackendOptions {
   // All on by default; the bench_backends index ablation flips them off
   // to measure the effect.
   dl::EngineOptions engine;
-  // Worker threads for the per-guess solves. 1 = legacy serial loop,
-  // 0 = std::thread::hardware_concurrency(), N > 1 = work-stealing pool
-  // of N workers. Verdict, witness and aggregate statistics are
+  // Worker threads for the per-guess solves. 1 = solved on the calling
+  // thread, 0 = std::thread::hardware_concurrency(), N > 1 = work-stealing
+  // pool of N workers. Verdict, witness and aggregate statistics are
   // thread-count independent (see encoding/datalog_verifier.h).
   unsigned threads = 1;
-  // Guesses per work unit pulled from the streaming enumerator.
+  // Guesses per chunk handed to a worker.
   std::size_t batch_size = 32;
-  // Borrowed warm engine for the serial path (threads == 1): arena and
-  // interned-fact reuse across Verify calls instead of a cold engine per
-  // request. Used by the serve daemon (core/serve.h), which keeps one
-  // engine per pool worker alive across requests. Ignored when
-  // threads != 1 — the parallel driver owns one engine per worker.
-  dl::Engine* warm_engine = nullptr;
   // ---- Sharding / checkpoint / resume (DESIGN.md §13) ----
   // Stride sharding of the guess enumeration: this run scans exactly the
   // global indices ≡ shard_index (mod shard_count). The default (0 of 1)
@@ -136,7 +128,7 @@ struct TmaiBackendOptions {
 };
 
 // Observability configuration. The recorder pointer is borrowed — the
-// caller owns it and keeps it alive across the Verify call; null (the
+// caller owns it and keeps it alive across the Run call; null (the
 // default) disables tracing at near-zero cost (see obs/trace.h).
 struct ObsOptions {
   obs::TraceRecorder* trace = nullptr;
@@ -244,13 +236,6 @@ class SafetyVerifier {
   // dispatch targets in verifier.cpp.
   Verdict Run(std::optional<std::pair<VarId, Value>> goal,
               const VerifierOptions& options = {}) const;
-
-  // Deprecated: thin wrapper over Run(std::nullopt, options).
-  Verdict Verify(const VerifierOptions& options = {}) const;
-
-  // Deprecated: thin wrapper over Run(std::pair{var, val}, options).
-  Verdict VerifyMessageGeneration(VarId var, Value val,
-                                  const VerifierOptions& options = {}) const;
 
  private:
   const ParamSystem& system_;

@@ -1,13 +1,12 @@
 #include "encoding/datalog_verifier.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <semaphore>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -15,7 +14,6 @@
 
 #include "common/cancellation.h"
 #include "common/deadline.h"
-#include "common/sharded_counter.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "datalog/engine.h"
@@ -44,7 +42,7 @@ class PhaseClock {
 };
 
 // Everything one guess contributes to the verdict. Produced by exactly one
-// worker, read only after the pool has quiesced; schedule-independent
+// task, read by the fold once that task has finished; schedule-independent
 // except for stats.index_builds (see the header's determinism rule).
 struct GuessOutcome {
   bool evaluated = false;
@@ -62,19 +60,12 @@ struct GuessOutcome {
 
 // Per-worker solver: owns the dl::Engine so arena reuse and EDB snapshot
 // rollback keep working across the guesses this worker happens to solve.
-// A caller may lend a warm engine instead (DatalogVerifierOptions::
-// warm_engine, serve daemon), in which case arena reuse extends across
-// verifier invocations and the cumulative fact_reuses counter is
-// rebased so the verdict still reports this request's reuses only.
 class GuessSolver {
  public:
   GuessSolver(const SimplSystem& sys, const DatalogVerifierOptions& options)
       : sys_(sys),
         options_(options),
-        encoder_(sys, MakePOptions{options.goal_message}),
-        engine_(options.warm_engine != nullptr ? *options.warm_engine
-                                               : own_engine_),
-        fact_reuse_base_(engine_.fact_reuses()) {
+        encoder_(sys, MakePOptions{options.goal_message}) {
     eval_.max_tuples = options.max_tuples_per_query;
     eval_.engine = options.engine;
     dlopt_.trace = options.trace;
@@ -147,9 +138,7 @@ class GuessSolver {
     return out;
   }
 
-  std::size_t fact_reuses() const {
-    return engine_.fact_reuses() - fact_reuse_base_;
-  }
+  std::size_t fact_reuses() const { return engine_.fact_reuses(); }
   // Time spent per phase by this solver's Solve calls.
   const PhaseTimes& phases() const { return phases_; }
 
@@ -161,9 +150,7 @@ class GuessSolver {
   PhaseTimes phases_;
   dl::EvalOptions eval_;
   dlopt::DlOptOptions dlopt_;
-  dl::Engine own_engine_;
-  dl::Engine& engine_;
-  const std::size_t fact_reuse_base_;
+  dl::Engine engine_;
 };
 
 // Folds one evaluated guess into the verdict aggregates (enumeration
@@ -229,423 +216,26 @@ void EmitCheckpoint(const DatalogVerifierOptions& options,
   ++verdict.checkpoint_writes;
 }
 
-// Stamps the shard identity / resume offset this run scans under.
-void StampShard(DatalogVerdict& v, const DatalogVerifierOptions& options) {
-  v.shard_index = options.guess.shard_index;
-  v.shard_count = options.guess.shard_count;
-  v.resume_offset = options.guess.start_index;
-}
-
-// --- serial driver ----------------------------------------------------------
-
-// threads == 1: the legacy in-order loop on the calling thread, one
-// engine, streaming enumeration. The parallel driver's results are defined
-// to match this path bit for bit (modulo index_builds/fact_reuses).
-// Adds the time spent waiting for guesses to *enumerate_ms.
-DatalogVerdict SerialScan(const SimplSystem& sys,
-                          const DatalogVerifierOptions& options,
-                          GuessSolver& solver, double* enumerate_ms) {
-  DatalogVerdict verdict;
-  verdict.parallel.threads = 1;
-  StampShard(verdict, options);
-  DisGuessCursor cursor(sys, options.guess);
-  const Deadline deadline(options.time_budget_ms);
-  const std::size_t batch =
-      options.batch_size == 0 ? 1 : options.batch_size;
-
-  // Scan position. `scanned` is the verdict's guess accounting (resume
-  // base + solves here); `next_unscanned` the first global index a
-  // resumed run must revisit. With default options scanned == global
-  // index, preserving the legacy counts exactly.
-  std::size_t scanned = options.resume_scanned_base;
-  std::size_t solves_this_run = 0;
-  std::size_t since_checkpoint = 0;
-  std::size_t next_unscanned = options.guess.start_index;
-
-  std::vector<IndexedGuess> chunk;
-  for (;;) {
-    chunk.clear();
-    PhaseClock clock;
-    const std::size_t n = cursor.NextChunk(batch, &chunk);
-    *enumerate_ms += clock.Lap();
-    if (n == 0) break;
-    ++verdict.parallel.batches;
-    for (IndexedGuess& ig : chunk) {
-      const std::size_t idx = ig.index;
-      if (deadline.Expired()) {
-        cursor.Cancel();
-        verdict.deadline_hit = true;
-        verdict.exhaustive = false;
-        verdict.guesses = scanned;
-        verdict.fact_reuses = solver.fact_reuses();
-        obs::TraceInstant(options.trace, "deadline",
-                          StrCat("{\"guess\":", idx, "}"));
-        EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
-        return verdict;
-      }
-      if (options.cancel != nullptr && options.cancel->cancelled()) {
-        // External cancel: truncated like a deadline, but deadline_hit
-        // stays false — no budget expired.
-        cursor.Cancel();
-        verdict.exhaustive = false;
-        verdict.guesses = scanned;
-        verdict.fact_reuses = solver.fact_reuses();
-        obs::TraceInstant(options.trace, "cancelled",
-                          StrCat("{\"guess\":", idx, "}"));
-        EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
-        return verdict;
-      }
-      GuessOutcome o = solver.Solve(
-          ig.guess, idx, /*want_width_report=*/solves_this_run == 0);
-      ++verdict.parallel.solves;
-      ++scanned;
-      ++solves_this_run;
-      ++since_checkpoint;
-      next_unscanned = idx + 1;
-      Accumulate(verdict, o);
-      if (o.terminating()) {
-        cursor.Cancel();
-        obs::TraceInstant(options.trace,
-                          o.derived ? "early_exit" : "budget_abort",
-                          StrCat("{\"guess\":", idx, "}"));
-        FinishEarly(verdict, idx, scanned, o);
-        verdict.fact_reuses = solver.fact_reuses();
-        if (o.budget_aborted) {
-          // Restartable: a rerun with a larger budget resumes *at* the
-          // aborted guess, so its (discarded) solve is not in `scanned`.
-          EmitCheckpoint(options, verdict, idx, scanned - 1, false);
-        }
-        return verdict;
-      }
-      if (options.scan_limit != 0 && solves_this_run >= options.scan_limit) {
-        cursor.Cancel();
-        verdict.scan_limit_hit = true;
-        verdict.exhaustive = false;
-        verdict.guesses = scanned;
-        verdict.fact_reuses = solver.fact_reuses();
-        obs::TraceInstant(options.trace, "scan_limit",
-                          StrCat("{\"guess\":", idx, "}"));
-        EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
-        return verdict;
-      }
-      if (options.checkpoint_every != 0 &&
-          since_checkpoint >= options.checkpoint_every) {
-        since_checkpoint = 0;
-        EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
-      }
-    }
-  }
-  verdict.guesses = options.resume_scanned_base + cursor.produced();
-  verdict.exhaustive = cursor.complete();
-  verdict.fact_reuses = solver.fact_reuses();
-  // complete() means nothing is left to resume; a hit enumeration cap
-  // leaves a resumable position (rerun with a larger max_guesses).
-  EmitCheckpoint(options, verdict, next_unscanned, verdict.guesses,
-                 cursor.complete());
-  return verdict;
-}
-
-DatalogVerdict SerialVerify(const SimplSystem& sys,
-                            const DatalogVerifierOptions& options) {
-  GuessSolver solver(sys, options);
-  double enumerate_ms = 0;
-  DatalogVerdict verdict = SerialScan(sys, options, solver, &enumerate_ms);
-  verdict.phases = solver.phases();
-  verdict.phases.enumerate_ms = enumerate_ms;
-  return verdict;
-}
-
-// --- parallel driver --------------------------------------------------------
-
+// One chunk of guesses, consecutive in this run's enumeration: filled by
+// the calling thread, solved by one task, folded back into the verdict by
+// the calling thread.
 struct Batch {
-  // Global enumeration index of each guess in the chunk (one entry per
-  // outcome slot; non-contiguous under sharding).
-  std::vector<std::size_t> indices;
-  std::vector<GuessOutcome> outcomes;  // one slot per guess in the chunk
-  std::string error;                   // first worker exception, if any
-  // Guesses of this chunk solved so far — the dispatcher's checkpoint
-  // frontier advances over the longest prefix of fully-solved batches.
-  std::atomic<std::size_t> done{0};
+  std::vector<std::size_t> indices;    // global enumeration index per guess
+  std::vector<DisGuess> guesses;       // released once solved
+  std::vector<GuessOutcome> outcomes;  // one slot per guess
+  std::size_t skipped = 0;  // guesses dropped unsolved after a stop signal
+  std::string error;        // the task's exception, if any
+  bool finished = false;    // guarded by the driver's finished_m
 };
-
-DatalogVerdict ParallelVerify(const SimplSystem& sys,
-                              const DatalogVerifierOptions& options,
-                              unsigned threads) {
-  DatalogVerdict verdict;
-  ThreadPool pool(threads);
-  const unsigned workers = pool.size();
-  verdict.parallel.threads = workers;
-  StampShard(verdict, options);
-
-  std::vector<std::unique_ptr<GuessSolver>> solvers;
-  solvers.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    solvers.push_back(std::make_unique<GuessSolver>(sys, options));
-  }
-
-  const std::size_t batch_size =
-      options.batch_size == 0 ? 1 : options.batch_size;
-  // Buffer a few chunks per worker so the producer stays ahead without
-  // materializing the guess space.
-  DisGuessCursor cursor(sys, options.guess, batch_size * workers * 4);
-
-  // First terminating event wins: the token is the fast "something
-  // happened" flag, stop_idx the exact ordered cut-off. A worker may skip
-  // a guess only when its index is strictly above stop_idx, so the final
-  // minimum's prefix is always fully evaluated.
-  CancellationToken cancel;
-  std::atomic<std::size_t> stop_idx{kNoGuessIndex};
-  const Deadline deadline(options.time_budget_ms);
-  std::atomic<bool> deadline_fired{false};
-  std::atomic<bool> ext_cancelled{false};
-  ShardedCounter solves;
-  ShardedCounter skipped;
-
-  // Batch slots live in a deque (stable addresses) created by the
-  // dispatcher before Submit and read after Wait; each is written by
-  // exactly one task in between.
-  std::deque<Batch> batches;
-  std::mutex batches_m;
-  // Backpressure: bound the chunks owned by queued/running tasks.
-  std::counting_semaphore<> slots(static_cast<std::ptrdiff_t>(workers) * 4);
-
-  // Contiguous-completed frontier over the dispatch order: the longest
-  // prefix of fully-solved batches. Everything at or below it is done, so
-  // it is a safe (conservative) resume point. Only the dispatcher appends
-  // to `batches`; workers touch the atomic `done` counters only.
-  const auto frontier = [&](std::size_t* next, std::size_t* count) {
-    *next = options.guess.start_index;
-    *count = 0;
-    for (const Batch& b : batches) {
-      if (b.done.load(std::memory_order_acquire) != b.indices.size()) break;
-      if (b.indices.empty()) continue;
-      *next = b.indices.back() + 1;
-      *count += b.indices.size();
-    }
-  };
-
-  // Index of the first solve of this run — the one that renders the
-  // width report (set before the first Submit, read-only afterwards).
-  std::size_t first_index = kNoGuessIndex;
-  // scan_limit bounds *dispatch*: the first scan_limit guesses of the
-  // enumeration order are handed out, nothing beyond — deterministic at
-  // any thread count.
-  std::size_t dispatched = 0;
-  bool scan_limited = false;
-  std::size_t cp_frontier_count = 0;  // frontier solves already checkpointed
-
-  std::vector<IndexedGuess> chunk;
-  double enumerate_ms = 0;
-  while (!cancel.cancelled()) {
-    if (deadline.Expired()) {
-      deadline_fired.store(true, std::memory_order_relaxed);
-      cancel.Cancel();
-      break;
-    }
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      ext_cancelled.store(true, std::memory_order_relaxed);
-      cancel.Cancel();
-      break;
-    }
-    std::size_t want = batch_size;
-    if (options.scan_limit != 0) {
-      if (dispatched >= options.scan_limit) {
-        scan_limited = true;
-        break;
-      }
-      want = std::min(want, options.scan_limit - dispatched);
-    }
-    chunk.clear();
-    PhaseClock clock;
-    const std::size_t n = cursor.NextChunk(want, &chunk);
-    enumerate_ms += clock.Lap();
-    if (n == 0) break;
-    slots.acquire();
-    Batch* slot;
-    {
-      std::lock_guard<std::mutex> lock(batches_m);
-      batches.emplace_back();
-      slot = &batches.back();
-    }
-    slot->indices.reserve(n);
-    for (const IndexedGuess& ig : chunk) slot->indices.push_back(ig.index);
-    slot->outcomes.resize(n);
-    if (first_index == kNoGuessIndex) first_index = slot->indices.front();
-    dispatched += n;
-    pool.Submit([&, slot, guesses = std::move(chunk)] {
-      const int w = ThreadPool::CurrentWorkerIndex();
-      GuessSolver& solver = *solvers[static_cast<std::size_t>(w)];
-      try {
-        for (std::size_t i = 0; i < guesses.size(); ++i) {
-          const std::size_t idx = slot->indices[i];
-          if (idx > stop_idx.load(std::memory_order_relaxed)) {
-            skipped.Add(guesses.size() - i);
-            break;
-          }
-          if (deadline.Expired()) {
-            deadline_fired.store(true, std::memory_order_relaxed);
-            cancel.Cancel();
-            skipped.Add(guesses.size() - i);
-            break;
-          }
-          if (options.cancel != nullptr && options.cancel->cancelled()) {
-            ext_cancelled.store(true, std::memory_order_relaxed);
-            cancel.Cancel();
-            skipped.Add(guesses.size() - i);
-            break;
-          }
-          GuessOutcome o = solver.Solve(
-              guesses[i].guess, idx, /*want_width_report=*/idx == first_index);
-          solves.Add(1);
-          const bool terminating = o.terminating();
-          const bool derived = o.derived;
-          slot->outcomes[i] = std::move(o);
-          slot->done.fetch_add(1, std::memory_order_release);
-          if (terminating) {
-            FetchMin(stop_idx, idx);
-            cancel.Cancel();
-            obs::TraceInstant(options.trace,
-                              derived ? "early_exit" : "budget_abort",
-                              StrCat("{\"guess\":", idx, "}"));
-            // Indices above idx in this batch can no longer matter.
-            skipped.Add(guesses.size() - i - 1);
-            break;
-          }
-        }
-      } catch (const std::exception& e) {
-        slot->error = e.what();
-        cancel.Cancel();
-      }
-      slots.release();
-    });
-    chunk = {};  // moved-from; restore a valid empty vector
-    if (options.checkpoint_every != 0 && options.checkpoint_sink &&
-        stop_idx.load(std::memory_order_relaxed) == kNoGuessIndex) {
-      std::size_t f_next = 0;
-      std::size_t f_count = 0;
-      frontier(&f_next, &f_count);
-      if (f_count - cp_frontier_count >= options.checkpoint_every) {
-        cp_frontier_count = f_count;
-        EmitCheckpoint(options, verdict, f_next,
-                       options.resume_scanned_base + f_count, false);
-      }
-    }
-  }
-  // Terminating events only occur in dispatched chunks, and chunks are
-  // dispatched in enumeration order — once the token fires, every index
-  // at or below the eventual minimum has already been handed out, so the
-  // rest of the enumeration is dead weight.
-  cursor.Cancel();
-  pool.Wait();
-
-  for (const Batch& b : batches) {
-    if (!b.error.empty()) {
-      throw std::runtime_error("datalog verifier worker failed: " + b.error);
-    }
-  }
-
-  // The deterministic stop: the lowest-index terminating outcome. This can
-  // only be lower than the racy stop_idx snapshot workers saw, never
-  // higher, and its whole prefix is evaluated (skips happen strictly above
-  // some stop_idx value >= the final minimum).
-  std::size_t stop = kNoGuessIndex;
-  const GuessOutcome* event = nullptr;
-  for (const Batch& b : batches) {
-    for (std::size_t i = 0; i < b.outcomes.size(); ++i) {
-      const GuessOutcome& o = b.outcomes[i];
-      if (o.evaluated && o.terminating() && b.indices[i] < stop) {
-        stop = b.indices[i];
-        event = &o;
-      }
-    }
-  }
-
-  verdict.parallel.batches = batches.size();
-  verdict.parallel.steals = pool.steals();
-  verdict.parallel.solves = solves.Total();
-  verdict.parallel.skipped = skipped.Total();
-
-  std::size_t evaluated = 0;
-  for (const Batch& b : batches) {
-    for (std::size_t i = 0; i < b.outcomes.size(); ++i) {
-      const GuessOutcome& o = b.outcomes[i];
-      if (b.indices[i] > stop) {
-        verdict.parallel.discarded += o.evaluated ? 1 : 0;
-        continue;
-      }
-      // A deadline abort can leave unevaluated gaps below `stop`; in
-      // deadline-free runs every index at or below it was solved.
-      if (!o.evaluated) continue;
-      ++evaluated;
-      Accumulate(verdict, o);
-    }
-  }
-  verdict.phases.enumerate_ms = enumerate_ms;
-  for (const auto& solver : solvers) {
-    verdict.fact_reuses += solver->fact_reuses();
-    verdict.phases += solver->phases();
-  }
-
-  const std::size_t base = options.resume_scanned_base;
-  if (event != nullptr) {
-    // Deadline-free runs evaluate exactly the emitted indices <= stop, so
-    // base + evaluated matches the serial driver's scanned count.
-    FinishEarly(verdict, stop, base + evaluated, *event);
-    if (!event->derived) {
-      // Budget abort: restartable at the aborted guess (its discarded
-      // solve is excluded from the resume base, it will be redone).
-      EmitCheckpoint(options, verdict, stop, base + evaluated - 1, false);
-    }
-  } else if (deadline_fired.load(std::memory_order_relaxed)) {
-    verdict.deadline_hit = true;
-    verdict.exhaustive = false;
-    // Not a clean prefix (workers stop where the deadline caught them);
-    // report the number of solves that made it into the aggregates.
-    verdict.guesses = base + evaluated;
-    obs::TraceInstant(options.trace, "deadline",
-                      StrCat("{\"solves\":", evaluated, "}"));
-    // Resume conservatively from the contiguous-completed frontier;
-    // solves in the ragged tail beyond it will be redone.
-    std::size_t f_next = 0;
-    std::size_t f_count = 0;
-    frontier(&f_next, &f_count);
-    EmitCheckpoint(options, verdict, f_next, base + f_count, false);
-  } else if (ext_cancelled.load(std::memory_order_relaxed)) {
-    // External cancel: truncated, inconclusive, no deadline blame.
-    verdict.exhaustive = false;
-    verdict.guesses = base + evaluated;
-    obs::TraceInstant(options.trace, "cancelled",
-                      StrCat("{\"solves\":", evaluated, "}"));
-    std::size_t f_next = 0;
-    std::size_t f_count = 0;
-    frontier(&f_next, &f_count);
-    EmitCheckpoint(options, verdict, f_next, base + f_count, false);
-  } else if (scan_limited) {
-    // Every dispatched guess was solved (no event, no deadline), so the
-    // frontier covers the full dispatched prefix.
-    verdict.scan_limit_hit = true;
-    verdict.exhaustive = false;
-    verdict.guesses = base + evaluated;
-    obs::TraceInstant(options.trace, "scan_limit",
-                      StrCat("{\"solves\":", evaluated, "}"));
-    std::size_t f_next = 0;
-    std::size_t f_count = 0;
-    frontier(&f_next, &f_count);
-    EmitCheckpoint(options, verdict, f_next, base + f_count, false);
-  } else {
-    verdict.guesses = base + cursor.produced();
-    verdict.exhaustive = cursor.complete();
-    std::size_t f_next = 0;
-    std::size_t f_count = 0;
-    frontier(&f_next, &f_count);
-    EmitCheckpoint(options, verdict, f_next, verdict.guesses,
-                   cursor.complete());
-  }
-  return verdict;
-}
 
 }  // namespace
 
+// The scan driver, one code path for every thread count. The calling
+// thread enumerates the guesses, cuts them into batch_size chunks and
+// hands each chunk to an executor: it runs inline at one thread and on a
+// work-stealing pool otherwise. Solved chunks are folded into the verdict
+// strictly in enumeration order, so the verdict, the statistics and the
+// checkpoints come out of the same fold whatever ran the solves.
 DatalogVerdict DatalogVerify(const SimplSystem& sys,
                              const DatalogVerifierOptions& options) {
   unsigned threads = options.threads;
@@ -653,13 +243,250 @@ DatalogVerdict DatalogVerify(const SimplSystem& sys,
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
   }
-  if (threads == 1) return SerialVerify(sys, options);
-  // The parallel driver owns one engine per worker; a lent warm engine
-  // would be shared (and raced) across workers, so it only applies to
-  // the serial path.
-  DatalogVerifierOptions par = options;
-  par.warm_engine = nullptr;
-  return ParallelVerify(sys, par, threads);
+  const std::size_t batch_size =
+      options.batch_size == 0 ? 1 : options.batch_size;
+  const std::size_t base = options.resume_scanned_base;
+
+  DatalogVerdict verdict;
+  verdict.parallel.threads = threads;
+  verdict.shard_index = options.guess.shard_index;
+  verdict.shard_count = options.guess.shard_count;
+  verdict.resume_offset = options.guess.start_index;
+
+  std::vector<std::unique_ptr<GuessSolver>> solvers;
+  solvers.reserve(threads);
+  for (unsigned w = 0; w < threads; ++w) {
+    solvers.push_back(std::make_unique<GuessSolver>(sys, options));
+  }
+
+  // Stop signals shared with the tasks. The token is the fast "something
+  // happened" flag, stop_idx the lowest terminating index seen so far. A
+  // task may skip a guess only when its index is strictly above stop_idx,
+  // so every guess up to the final minimum is solved.
+  CancellationToken cancel;
+  std::atomic<std::size_t> stop_idx{kNoGuessIndex};
+  const Deadline deadline(options.time_budget_ms);
+  std::atomic<bool> deadline_fired{false};
+  std::atomic<bool> ext_cancelled{false};
+  // Index of this run's first guess, whose solve renders the width report
+  // (set before the first chunk is handed out, read-only afterwards).
+  std::size_t first_index = kNoGuessIndex;
+
+  // Dispatched chunks not yet folded, oldest first. Their count is the
+  // backpressure: at most four per worker, so memory is bounded by the
+  // chunks in flight, not by the size of the guess space.
+  std::deque<Batch> inflight;
+  const std::size_t max_inflight = static_cast<std::size_t>(threads) * 4;
+  std::mutex finished_m;
+  std::condition_variable finished_cv;
+
+  // Polls the two stops that come from outside the scan — the deadline
+  // and the caller's cancel — and turns either into a scan-wide cancel.
+  const auto outside_stop = [&] {
+    if (deadline.Expired()) {
+      deadline_fired.store(true, std::memory_order_relaxed);
+    } else if (options.cancel != nullptr && options.cancel->cancelled()) {
+      ext_cancelled.store(true, std::memory_order_relaxed);
+    } else {
+      return false;
+    }
+    cancel.Cancel();
+    return true;
+  };
+
+  const auto solve_batch = [&](Batch& b, GuessSolver& solver) {
+    try {
+      for (std::size_t i = 0; i < b.guesses.size(); ++i) {
+        const std::size_t idx = b.indices[i];
+        if (idx > stop_idx.load(std::memory_order_relaxed) || outside_stop()) {
+          b.skipped = b.guesses.size() - i;
+          break;
+        }
+        GuessOutcome& o = b.outcomes[i];
+        o = solver.Solve(b.guesses[i], idx,
+                         /*want_width_report=*/idx == first_index);
+        if (o.terminating()) {
+          FetchMin(stop_idx, idx);
+          cancel.Cancel();
+          obs::TraceInstant(options.trace,
+                            o.derived ? "early_exit" : "budget_abort",
+                            StrCat("{\"guess\":", idx, "}"));
+          break;  // the rest of the chunk lies beyond the stop
+        }
+      }
+    } catch (const std::exception& e) {
+      b.error = e.what();
+      cancel.Cancel();
+    }
+    b.guesses = {};
+    // Notify under the lock: once `finished` is seen the calling thread
+    // may fold the last batch and return, destroying finished_cv.
+    std::lock_guard<std::mutex> lock(finished_m);
+    b.finished = true;
+    finished_cv.notify_all();
+  };
+
+  // Declared after everything its tasks touch: if an exception unwinds
+  // the scan, the pool is destroyed first and finishes the queued tasks
+  // while their state is still alive.
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+
+  // Fold state, touched by the calling thread only. The contiguous prefix
+  // (solved guesses up to the first unsolved one) is where a resumed run
+  // picks up; only deadline and cancel stops leave unsolved gaps below the
+  // terminating guess.
+  std::size_t evaluated = 0;  // solves folded into the aggregates
+  std::size_t prefix = 0;     // ... of which in the contiguous prefix
+  std::size_t next_index = options.guess.start_index;  // after the prefix
+  bool gap = false;
+  std::size_t since_checkpoint = 0;
+  std::size_t stop = kNoGuessIndex;  // the folded terminating guess
+  std::string error;                 // the first task exception
+
+  const auto fold = [&](const Batch& b) {
+    verdict.parallel.skipped += b.skipped;
+    if (error.empty()) error = b.error;
+    for (std::size_t i = 0; i < b.outcomes.size(); ++i) {
+      const GuessOutcome& o = b.outcomes[i];
+      if (!o.evaluated) {
+        gap = true;
+        continue;
+      }
+      ++verdict.parallel.solves;
+      if (stop != kNoGuessIndex) {
+        // Raced past the terminating guess: kept out of the aggregates.
+        ++verdict.parallel.discarded;
+        continue;
+      }
+      Accumulate(verdict, o);
+      ++evaluated;
+      if (!gap) {
+        prefix = evaluated;
+        next_index = b.indices[i] + 1;
+      }
+      if (o.terminating()) {
+        stop = b.indices[i];
+        FinishEarly(verdict, stop, base + evaluated, o);
+        if (o.budget_aborted) {
+          // Restartable: a rerun with a larger budget resumes *at* the
+          // aborted guess, so its (discarded) solve is not counted.
+          EmitCheckpoint(options, verdict, stop, base + evaluated - 1,
+                         false);
+        }
+      } else if (options.checkpoint_every != 0 && !gap &&
+                 evaluated != options.scan_limit &&
+                 ++since_checkpoint >= options.checkpoint_every) {
+        since_checkpoint = 0;
+        EmitCheckpoint(options, verdict, next_index, base + prefix, false);
+      }
+    }
+  };
+
+  // Folds the oldest chunk if it has finished, or once it has when
+  // `wait` is set. Returns whether it folded one.
+  const auto fold_front = [&](bool wait) {
+    Batch& b = inflight.front();
+    {
+      std::unique_lock<std::mutex> lock(finished_m);
+      if (wait) {
+        finished_cv.wait(lock, [&b] { return b.finished; });
+      } else if (!b.finished) {
+        return false;
+      }
+    }
+    fold(b);
+    inflight.pop_front();
+    return true;
+  };
+
+  std::size_t dispatched = 0;
+  bool scan_limited = false;
+  const auto dispatch = [&](Batch& b) {
+    b.outcomes.resize(b.guesses.size());
+    if (first_index == kNoGuessIndex) first_index = b.indices.front();
+    dispatched += b.guesses.size();
+    scan_limited = dispatched == options.scan_limit;
+    ++verdict.parallel.batches;
+    if (pool == nullptr) {
+      solve_batch(b, *solvers.front());
+      return;
+    }
+    pool->Submit([&solve_batch, &solvers, &b] {
+      const int w = ThreadPool::CurrentWorkerIndex();
+      solve_batch(b, *solvers[static_cast<std::size_t>(w)]);
+    });
+  };
+
+  // The enumeration runs on this thread; the sink stops it on a
+  // terminating guess, the deadline, an external cancel or scan_limit.
+  Batch* open = nullptr;  // the chunk being filled, inflight.back()
+  double enumerate_ms = 0;
+  PhaseClock clock;
+  const bool complete = EnumerateDisGuesses(
+      sys, options.guess, [&](std::size_t idx, DisGuess&& guess) {
+        enumerate_ms += clock.Lap();
+        if (cancel.cancelled() || outside_stop()) return false;
+        if (open == nullptr) {
+          while (inflight.size() >= max_inflight) fold_front(/*wait=*/true);
+          open = &inflight.emplace_back();
+        }
+        open->indices.push_back(idx);
+        open->guesses.push_back(std::move(guess));
+        const std::size_t n = open->guesses.size();
+        if (n == batch_size || dispatched + n == options.scan_limit) {
+          dispatch(*open);
+          open = nullptr;
+          while (!inflight.empty() && fold_front(/*wait=*/false)) {
+          }
+        }
+        clock.Lap();
+        return !cancel.cancelled() && !scan_limited;
+      });
+  enumerate_ms += clock.Lap();
+  if (open != nullptr) {
+    // A partial last chunk: solve it, unless the scan has already stopped
+    // (its guesses all lie beyond whatever stopped it).
+    if (cancel.cancelled()) {
+      inflight.pop_back();
+    } else {
+      dispatch(*open);
+    }
+  }
+  while (!inflight.empty()) fold_front(/*wait=*/true);
+  if (!error.empty()) {
+    throw std::runtime_error("datalog verifier worker failed: " + error);
+  }
+
+  verdict.parallel.steals = pool != nullptr ? pool->steals() : 0;
+  verdict.phases.enumerate_ms = enumerate_ms;
+  for (const auto& solver : solvers) {
+    verdict.fact_reuses += solver->fact_reuses();
+    verdict.phases += solver->phases();
+  }
+
+  if (stop != kNoGuessIndex) return verdict;  // sealed by FinishEarly
+  const bool deadline_hit = deadline_fired.load(std::memory_order_relaxed);
+  const bool cancelled = ext_cancelled.load(std::memory_order_relaxed);
+  verdict.guesses = base + evaluated;
+  if (deadline_hit || cancelled || scan_limited) {
+    // Truncated, inconclusive. An external cancel blames no budget.
+    verdict.exhaustive = false;
+    verdict.deadline_hit = deadline_hit;
+    verdict.scan_limit_hit = !deadline_hit && !cancelled;
+    obs::TraceInstant(options.trace,
+                      deadline_hit ? "deadline"
+                      : cancelled  ? "cancelled"
+                                   : "scan_limit",
+                      StrCat("{\"solves\":", evaluated, "}"));
+    EmitCheckpoint(options, verdict, next_index, base + prefix, false);
+  } else {
+    // Every guess was solved. An incomplete enumeration hit the
+    // max_guesses cap: resumable with a larger cap.
+    verdict.exhaustive = complete;
+    EmitCheckpoint(options, verdict, next_index, verdict.guesses, complete);
+  }
+  return verdict;
 }
 
 }  // namespace rapar

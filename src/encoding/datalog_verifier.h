@@ -2,12 +2,14 @@
 // nondeterministic guesses and evaluates each emitted query instance.
 // Unsafe iff some execution of makeP yields (Prog, g) with Prog ⊢ g.
 //
-// The guesses are mutually independent, so the driver fans them out:
-// guesses stream from a DisGuessCursor in chunks, a work-stealing
-// ThreadPool solves the chunks with one dl::Engine per worker (arena and
-// EDB-snapshot reuse stay intact within a worker), and the first
-// terminating event — a derived goal or a blown tuple budget — cancels
-// the remaining work.
+// The guesses are mutually independent, so one loop decides the question:
+// the calling thread enumerates the guesses (EnumerateDisGuesses' sink)
+// and cuts them into chunks; each chunk is solved inline at one thread or
+// by a work-stealing ThreadPool with one dl::Engine per worker (arena and
+// EDB-snapshot reuse stay intact within a worker); and the solved chunks
+// are folded into the verdict in enumeration order. The first terminating
+// event — a derived goal or a blown tuple budget — stops the enumeration
+// and the remaining work.
 //
 // Each worker also owns one MakePEncoder (encoding/makep.h) for the whole
 // verification: the env-signature bases it builds are reused by every
@@ -21,8 +23,10 @@
 // from the first solved guess's program, stays thread-count independent.
 //
 // Determinism rule: the verdict, witness guess, guesses-scanned count and
-// the aggregate statistics are *independent of the thread count*. The
-// driver reports the lowest-enumeration-index terminating guess, and a
+// the aggregate statistics are *independent of the thread count*, by
+// construction: every thread count runs the same driver and the same
+// in-order fold, and only the executor of a chunk differs. The driver
+// reports the lowest-enumeration-index terminating guess, and a
 // worker may skip a guess only when its index is provably above the
 // current minimum, so every guess below the reported stop index is
 // evaluated exactly once regardless of scheduling. Statistics aggregate
@@ -68,21 +72,20 @@ struct DatalogVerifierOptions {
   // (tests/dlopt_differential_test.cpp checks it); off only for debugging
   // or differential testing.
   bool enable_dlopt = true;
-  // Worker threads for the per-guess solves. 1 (default) runs the legacy
-  // serial loop on the calling thread; 0 resolves to
+  // Worker threads for the per-guess solves. 1 (default) solves every
+  // chunk on the calling thread, with no pool; 0 resolves to
   // std::thread::hardware_concurrency(); N > 1 uses a work-stealing pool
   // of N workers. The verdict, witness and aggregate statistics are
   // identical for every value (see the determinism rule above).
   unsigned threads = 1;
-  // Guesses per work unit pulled from the streaming enumerator. Small
-  // enough to load-balance, large enough to amortize dispatch; also the
-  // serial loop's chunk size.
+  // Guesses per chunk handed to the executor. Small enough to
+  // load-balance, large enough to amortize dispatch.
   std::size_t batch_size = 32;
   // Wall-clock budget in milliseconds; 0 = unlimited. Enforced
   // cooperatively at guess granularity: the deadline is checked before
-  // every solve (and by the parallel dispatcher between chunks), so a
-  // single long solve can overshoot it. On expiry the scan stops,
-  // exhaustive becomes false and DatalogVerdict::deadline_hit is set.
+  // every solve and every enumerated guess, so a single long solve can
+  // overshoot it. On expiry the scan stops, exhaustive becomes false and
+  // DatalogVerdict::deadline_hit is set.
   // Deadline-truncated runs are wall-clock dependent and therefore exempt
   // from the determinism rule above.
   long long time_budget_ms = 0;
@@ -113,26 +116,16 @@ struct DatalogVerifierOptions {
   std::size_t checkpoint_every = 0;
   std::function<void(const CursorCheckpoint&)> checkpoint_sink;
   // Stop after solving this many guesses in this invocation (0 =
-  // unlimited). Deterministic at every thread count — the parallel
-  // dispatcher bounds *dispatch* to the first scan_limit guesses of the
-  // enumeration order — which makes kill-and-resume testable without
-  // real kills: a truncated run plus a resumed run must reproduce the
-  // uninterrupted verdict. Sets DatalogVerdict::scan_limit_hit when it
-  // truncates the scan.
+  // unlimited). Deterministic at every thread count — the driver bounds
+  // *dispatch* to the first scan_limit guesses of the enumeration order —
+  // which makes kill-and-resume testable without real kills: a truncated
+  // run plus a resumed run must reproduce the uninterrupted verdict. Sets
+  // DatalogVerdict::scan_limit_hit when it truncates the scan.
   std::size_t scan_limit = 0;
-  // Borrowed warm engine for the serial path (threads == 1): the solver
-  // reuses its arena and interned-fact table across *calls* instead of
-  // constructing a fresh engine per verify. Used by the serve daemon,
-  // which keeps one engine per pool worker alive across requests.
-  // Ignored when threads != 1 (the parallel driver owns one engine per
-  // worker already). Cumulative engine counters (index_builds,
-  // fact_reuses) are reported as deltas relative to the engine's state at
-  // solver construction, so verdict stats stay per-request.
-  dl::Engine* warm_engine = nullptr;
 };
 
-// How the parallel driver ran. threads == 1 means the serial loop (the
-// batches/chunk fields still describe the streaming enumeration).
+// How the scan driver ran. threads == 1 means every chunk was solved on
+// the calling thread; batches is then ceil(solves / batch_size).
 struct ParallelStats {
   unsigned threads = 1;
   std::size_t batches = 0;  // guess chunks dispatched
@@ -141,7 +134,8 @@ struct ParallelStats {
   // Solves that raced past the deterministic stop prefix; their stats are
   // excluded from the verdict aggregates.
   std::size_t discarded = 0;
-  // Guesses skipped outright after the early exit fired.
+  // Guesses a worker dropped unsolved because another guess's early exit,
+  // the deadline or a cancel had already stopped the scan.
   std::size_t skipped = 0;
   // Index of the terminating guess (witness or budget abort);
   // kNoGuessIndex when every guess was scanned.
@@ -150,12 +144,12 @@ struct ParallelStats {
   bool Any() const { return threads > 1; }
 };
 
-// Milliseconds per guess-scan layer, summed over guesses: waiting for the
-// guess enumerator, makeP, dlopt (optimizer, join hints, width report)
-// and evaluation. The serial driver measures them on the calling thread,
-// so they add up to at most the scan's wall-clock time; the parallel
-// driver sums its dispatcher's and workers' times, i.e. thread-time,
-// which can exceed the wall clock (telemetry names them *_cpu_ms).
+// Milliseconds per guess-scan layer, summed over guesses: enumerating
+// guesses, makeP, dlopt (optimizer, join hints, width report) and
+// evaluation. At one thread every layer runs on the calling thread, so
+// they add up to at most the scan's wall-clock time; with a pool they sum
+// the calling thread's and the workers' times, i.e. thread-time, which
+// can exceed the wall clock (telemetry names them *_cpu_ms).
 struct PhaseTimes {
   double enumerate_ms = 0;
   double makep_ms = 0;
@@ -242,7 +236,7 @@ struct DatalogVerdict {
   std::string width_report;
   // The witnessing guess (pretty-printed) when unsafe.
   std::string witness_guess;
-  // Parallel-driver telemetry (threads, batches, steals, early exit).
+  // Scan-driver telemetry (threads, batches, steals, early exit).
   ParallelStats parallel;
   // Where the scan's time went (wall-clock dependent, unlike the rest).
   PhaseTimes phases;

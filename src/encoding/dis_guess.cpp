@@ -118,24 +118,15 @@ void EnumPaths(const Cfa& cfa, Value dom, std::size_t cap,
   }
 }
 
-// Receives guesses in enumeration order together with their global
-// enumeration index; returns false to abort the remaining enumeration
-// (cursor cancelled). The vector wrapper always returns true.
-using GuessSink = std::function<bool(std::size_t, DisGuess&&)>;
-
-// The shared enumeration core behind EnumerateDisGuesses and
-// DisGuessCursor. Produces guesses into a sink instead of a vector so the
-// cursor's bounded buffer can apply backpressure; the enumeration order
-// and the max_guesses cap semantics are those of the original
-// materializing enumerator.
+// The enumeration core behind both EnumerateDisGuesses front ends.
+// Produces guesses into a sink instead of a vector so a consumer can stop
+// it; the enumeration order and the max_guesses cap semantics are those of
+// the original materializing enumerator.
 class GuessBuilder {
  public:
   GuessBuilder(const SimplSystem& sys, const GuessEnumOptions& options,
-               GuessSink sink, bool* complete)
-      : sys_(sys),
-        options_(options),
-        sink_(std::move(sink)),
-        complete_(complete) {}
+               const GuessSink& sink, bool* complete)
+      : sys_(sys), options_(options), sink_(sink), complete_(complete) {}
 
   void Run() {
     const std::size_t n = sys_.dis.size();
@@ -181,10 +172,9 @@ class GuessBuilder {
     }
     if (idx < options_.start_index) return;
     if (!sink_(idx, std::move(guess))) {
+      *complete_ = false;
       stopped_ = true;
-      return;
     }
-    ++produced_;
   }
 
   // Phase A product: choose one path per thread.
@@ -368,10 +358,9 @@ class GuessBuilder {
 
   const SimplSystem& sys_;
   const GuessEnumOptions& options_;
-  GuessSink sink_;
+  const GuessSink& sink_;
   bool* complete_;
   std::size_t global_index_ = 0;  // next guess's global enumeration index
-  std::size_t produced_ = 0;      // guesses this shard actually emitted
   bool stopped_ = false;
   std::vector<std::vector<ThreadGuess>> per_thread_paths_;
   std::vector<std::size_t> chosen_;
@@ -379,19 +368,23 @@ class GuessBuilder {
 
 }  // namespace
 
+bool EnumerateDisGuesses(const SimplSystem& sys,
+                         const GuessEnumOptions& options,
+                         const GuessSink& sink) {
+  bool complete = true;
+  GuessBuilder(sys, options, sink, &complete).Run();
+  return complete;
+}
+
 std::vector<DisGuess> EnumerateDisGuesses(const SimplSystem& sys,
                                           const GuessEnumOptions& options,
                                           bool* complete) {
-  *complete = true;
   std::vector<DisGuess> out;
-  GuessBuilder builder(
-      sys, options,
-      [&out](std::size_t, DisGuess&& g) {
-        out.push_back(std::move(g));
-        return true;
-      },
-      complete);
-  builder.Run();
+  *complete = EnumerateDisGuesses(sys, options,
+                                  [&out](std::size_t, DisGuess&& g) {
+                                    out.push_back(std::move(g));
+                                    return true;
+                                  });
   return out;
 }
 
@@ -465,107 +458,6 @@ Expected<CursorCheckpoint> CursorCheckpoint::FromJson(std::string_view text) {
                            " out of range for shard_count ", cp.shard_count));
   }
   return E{std::move(cp)};
-}
-
-// --- DisGuessCursor ---------------------------------------------------------
-
-DisGuessCursor::DisGuessCursor(const SimplSystem& sys,
-                               const GuessEnumOptions& options,
-                               std::size_t buffer_capacity)
-    : capacity_(buffer_capacity == 0 ? 1 : buffer_capacity) {
-  producer_ = std::jthread([this, &sys, opts = options] {
-    bool complete = true;
-    GuessBuilder builder(
-        sys, opts,
-        [this](std::size_t idx, DisGuess&& g) {
-          return Push(idx, std::move(g));
-        },
-        &complete);
-    builder.Run();
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      done_ = true;
-      complete_ = complete && !cancelled_;
-    }
-    can_consume_.notify_all();
-  });
-}
-
-DisGuessCursor::~DisGuessCursor() {
-  Cancel();
-  // producer_ (jthread) joins on destruction.
-}
-
-bool DisGuessCursor::Push(std::size_t index, DisGuess&& guess) {
-  std::unique_lock<std::mutex> lock(m_);
-  can_produce_.wait(lock, [this] {
-    return buffer_.size() < capacity_ || cancelled_;
-  });
-  if (cancelled_) return false;
-  buffer_.push_back(IndexedGuess{index, std::move(guess)});
-  ++produced_;
-  lock.unlock();
-  can_consume_.notify_one();
-  return true;
-}
-
-std::size_t DisGuessCursor::NextChunk(std::size_t max_chunk,
-                                      std::vector<DisGuess>* out) {
-  std::unique_lock<std::mutex> lock(m_);
-  can_consume_.wait(lock,
-                    [this] { return !buffer_.empty() || done_ || cancelled_; });
-  if (cancelled_) return 0;
-  std::size_t n = 0;
-  while (n < max_chunk && !buffer_.empty()) {
-    out->push_back(std::move(buffer_.front().guess));
-    buffer_.pop_front();
-    ++n;
-  }
-  lock.unlock();
-  can_produce_.notify_all();
-  return n;
-}
-
-std::size_t DisGuessCursor::NextChunk(std::size_t max_chunk,
-                                      std::vector<IndexedGuess>* out) {
-  std::unique_lock<std::mutex> lock(m_);
-  can_consume_.wait(lock,
-                    [this] { return !buffer_.empty() || done_ || cancelled_; });
-  if (cancelled_) return 0;
-  std::size_t n = 0;
-  while (n < max_chunk && !buffer_.empty()) {
-    out->push_back(std::move(buffer_.front()));
-    buffer_.pop_front();
-    ++n;
-  }
-  lock.unlock();
-  can_produce_.notify_all();
-  return n;
-}
-
-void DisGuessCursor::Cancel() {
-  {
-    std::lock_guard<std::mutex> lock(m_);
-    cancelled_ = true;
-    buffer_.clear();
-  }
-  can_produce_.notify_all();
-  can_consume_.notify_all();
-}
-
-std::size_t DisGuessCursor::produced() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return produced_;
-}
-
-bool DisGuessCursor::exhausted() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return cancelled_ || (done_ && buffer_.empty());
-}
-
-bool DisGuessCursor::complete() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return done_ && complete_;
 }
 
 std::string DisGuess::ToString(const SimplSystem& sys) const {

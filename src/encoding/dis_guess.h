@@ -12,19 +12,20 @@
 // The enumerator below realises the nondeterminism by exhaustive
 // enumeration with pruning; it is exponential in the dis programs (as the
 // NP guess must be) and intended for the small instances the Datalog
-// backend is exercised on. Two front ends share one enumeration core:
+// backend is exercised on. One enumeration core has two front ends:
 //
-//   * EnumerateDisGuesses — materializes every guess into a vector
-//     (legacy API, fine for tests and small systems);
-//   * DisGuessCursor — streams guesses in enumeration order through a
-//     bounded buffer, so consumers (the parallel verification driver)
-//     pull chunks on demand instead of holding up to max_guesses = 200'000
-//     skeletons in memory, and can cancel enumeration the moment a verdict
-//     is decided.
+//   * EnumerateDisGuesses(sys, options, sink) — hands every guess, in
+//     enumeration order, to a caller-supplied sink on the calling thread.
+//     The sink can stop the enumeration, so a consumer (the Datalog scan
+//     driver) holds only the guesses it is working on instead of up to
+//     max_guesses = 200'000 skeletons, and the exponential search ends the
+//     moment a verdict is decided;
+//   * EnumerateDisGuesses(sys, options, &complete) — materializes every
+//     guess into a vector (fine for tests and small systems).
 //
 // Sharding & resume: the enumeration order is deterministic, so every
-// guess has a stable *global index*. GuessEnumOptions can restrict a
-// cursor to one residue class of that order (shard i of N sees exactly
+// guess has a stable *global index*. GuessEnumOptions can restrict an
+// enumeration to one residue class of that order (shard i of N sees exactly
 // the indices ≡ i mod N) and/or skip a prefix (start_index, for resuming
 // an aborted scan). Both filters only suppress *emission* — the global
 // index keeps counting, so all shards agree on which guess is which and
@@ -34,14 +35,10 @@
 #ifndef RAPAR_ENCODING_DIS_GUESS_H_
 #define RAPAR_ENCODING_DIS_GUESS_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/expected.h"
@@ -133,83 +130,26 @@ struct CursorCheckpoint {
   static Expected<CursorCheckpoint> FromJson(std::string_view text);
 };
 
-// Enumerates all valid dis-run guesses of `sys` (up to the cap). Register
-// effects, assumes and CAS value-matching are checked during enumeration;
-// view feasibility is left to the Datalog derivation. Sets *complete to
-// false if the cap was hit. Thin wrapper over the streaming enumeration
-// core; yields exactly the DisGuessCursor sequence.
+// Receives the guesses of an enumeration in order, each with its global
+// enumeration index (stable across shard/resume filters — see
+// GuessEnumOptions). Returning false stops the enumeration.
+using GuessSink = std::function<bool(std::size_t index, DisGuess&& guess)>;
+
+// Enumerates all valid dis-run guesses of `sys` (up to the cap) into
+// `sink`, on the calling thread. Register effects, assumes and CAS
+// value-matching are checked during enumeration; view feasibility is left
+// to the Datalog derivation. Returns true iff the enumeration ran to
+// completion: false when the max_guesses cap was hit or the sink stopped
+// it.
+bool EnumerateDisGuesses(const SimplSystem& sys,
+                         const GuessEnumOptions& options,
+                         const GuessSink& sink);
+
+// The same sequence, materialized. Sets *complete to false if the cap was
+// hit.
 std::vector<DisGuess> EnumerateDisGuesses(const SimplSystem& sys,
                                           const GuessEnumOptions& options,
                                           bool* complete);
-
-// One streamed guess together with its global enumeration index (stable
-// across shard/resume filters — see GuessEnumOptions).
-struct IndexedGuess {
-  std::size_t index = 0;
-  DisGuess guess;
-};
-
-// Resumable streaming enumeration: produces the same guesses in the same
-// order as EnumerateDisGuesses, but on demand. A producer thread runs the
-// enumeration into a bounded buffer (backpressure keeps memory constant in
-// the guess count); NextChunk pops guesses in order. Cancel() aborts the
-// remaining enumeration — the consumer's early exit (verdict decided)
-// propagates back into the exponential search instead of letting it run
-// to the cap.
-//
-// `sys` must outlive the cursor. One consumer at a time (the parallel
-// driver pulls chunks from its dispatcher thread only).
-class DisGuessCursor {
- public:
-  DisGuessCursor(const SimplSystem& sys, const GuessEnumOptions& options,
-                 std::size_t buffer_capacity = 1024);
-  ~DisGuessCursor();
-
-  DisGuessCursor(const DisGuessCursor&) = delete;
-  DisGuessCursor& operator=(const DisGuessCursor&) = delete;
-
-  // Appends up to `max_chunk` guesses to *out (preserving existing
-  // elements) and returns how many were appended. Blocks while the
-  // producer is still working; 0 means the enumeration is exhausted or
-  // was cancelled.
-  std::size_t NextChunk(std::size_t max_chunk, std::vector<DisGuess>* out);
-
-  // Same, but with each guess's global enumeration index attached — the
-  // form the sharded drivers consume.
-  std::size_t NextChunk(std::size_t max_chunk, std::vector<IndexedGuess>* out);
-
-  // Stops the producer; subsequent NextChunk calls return 0 (guesses
-  // already buffered are discarded). Idempotent, safe from any thread.
-  void Cancel();
-
-  // Guesses handed to the buffer so far; equals the total enumeration
-  // count once exhausted() holds.
-  std::size_t produced() const;
-
-  // NextChunk has returned 0: no further guesses will arrive.
-  bool exhausted() const;
-
-  // The enumeration ran to completion without hitting max_guesses. Only
-  // meaningful once exhausted() holds; false when Cancel() arrived while
-  // the enumeration was still running (a Cancel after completion — e.g.
-  // the parallel driver's unconditional cleanup — leaves it true).
-  bool complete() const;
-
- private:
-  // Producer side; false = cancelled.
-  bool Push(std::size_t index, DisGuess&& guess);
-
-  const std::size_t capacity_;
-  mutable std::mutex m_;
-  std::condition_variable can_produce_;
-  std::condition_variable can_consume_;
-  std::deque<IndexedGuess> buffer_;
-  std::size_t produced_ = 0;
-  bool done_ = false;       // producer finished (exhausted or cancelled)
-  bool cancelled_ = false;
-  bool complete_ = false;   // cap not hit; valid once done_
-  std::jthread producer_;   // last member: joins before state dies
-};
 
 }  // namespace rapar
 

@@ -424,11 +424,12 @@ class Parser {
 
 }  // namespace
 
-Expected<Program> ParseProgram(const std::string& text) {
+Expected<Program> ParseProgram(const std::string& text, SrcLoc* error_at) {
   try {
     Parser parser(text);
     return parser.Parse();
   } catch (const ParseError& e) {
+    if (error_at != nullptr) *error_at = SrcLoc{e.line, e.col};
     std::string msg = e.what();
     const std::string snippet = SourceCaret(text, e.line, e.col);
     if (!snippet.empty()) msg += "\n" + snippet;

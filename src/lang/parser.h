@@ -33,14 +33,17 @@
 
 #include "common/expected.h"
 #include "lang/program.h"
+#include "lang/source_loc.h"
 
 namespace rapar {
 
 // Parses a complete program. On error, the message contains the 1-based
 // line and column of the offending token plus the offending source line
-// with a caret (the same rendering analysis diagnostics use). Parsed
-// statements carry their source positions (Stmt::loc).
-Expected<Program> ParseProgram(const std::string& text);
+// with a caret (the same rendering analysis diagnostics use), and
+// *error_at (when given) receives that position alone. Parsed statements
+// carry their source positions (Stmt::loc).
+Expected<Program> ParseProgram(const std::string& text,
+                               SrcLoc* error_at = nullptr);
 
 }  // namespace rapar
 

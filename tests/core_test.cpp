@@ -198,17 +198,6 @@ TEST(BenchmarkSuiteTest, ProducerConsumerSafeVariantIsSafe) {
   EXPECT_TRUE(verifier.Run(std::nullopt, opts).safe());
 }
 
-// The pre-Run entry points survive as thin wrappers; they must keep
-// answering exactly what Run answers until they are removed.
-TEST(BenchmarkSuiteTest, DeprecatedWrappersDelegateToRun) {
-  BenchmarkCase pc = ProducerConsumer(1);
-  SafetyVerifier verifier(pc.system);
-  EXPECT_EQ(verifier.Verify().result, verifier.Run(std::nullopt).result);
-  VarId x = pc.system.vars().Find("x");
-  EXPECT_EQ(verifier.VerifyMessageGeneration(x, 1).result,
-            verifier.Run(std::pair{x, Value{1}}).result);
-}
-
 TEST(DeadlineTest, NonPositiveAndHugeBudgetsAreUnlimited) {
   for (const long long ms : {0LL, -1LL, LLONG_MIN, LLONG_MAX}) {
     const Deadline d(ms);

@@ -626,9 +626,11 @@ std::ostream& operator<<(std::ostream& os, const SolveTotals& t) {
 // engine options. Sums the per-solve counters.
 SolveTotals SolveEveryGuessTwice(const SimplSystem& sys) {
   std::vector<DisGuess> guesses;
-  DisGuessCursor cursor(sys, GuessEnumOptions{});
-  while (cursor.NextChunk(64, &guesses) != 0) {
-  }
+  EnumerateDisGuesses(sys, GuessEnumOptions{},
+                      [&guesses](std::size_t, DisGuess&& g) {
+                        guesses.push_back(std::move(g));
+                        return true;
+                      });
   MakePEncoder encoder(sys, MakePOptions{});
   Engine engine;
   SolveTotals t;

@@ -74,20 +74,22 @@ TEST(ObsDifferentialTest, TraceOnOffIdenticalSimplified) {
   }
 }
 
-// The Datalog guess loop checks the deadline before every solve:
-// peterson-ra enumerates 29 guesses and needs a few milliseconds to
-// scan them all, so a 1 ms budget reliably cuts the enumeration short
-// (several guesses in). The verdict must degrade to kUnknown with
-// stopped_phase = "solve" — never a wrong "safe" — and the partial
-// guess count must stay below the full scan.
+// The Datalog guess loop checks the deadline before every solve and
+// every enumerated guess. dekker-cas scans 384 guesses (several
+// milliseconds on one thread; peterson-ra's 29 guesses now fit in about
+// one) and has no witness, so a 1 ms budget reliably cuts the scan
+// short. The verdict must degrade to kUnknown with stopped_phase =
+// "solve" — never a wrong "safe" — and the partial guess count must stay
+// below the full scan.
 TEST(ObsDifferentialTest, DeadlineAbortsDatalogSerial) {
-  BenchmarkCase bench = PetersonRa();
+  BenchmarkCase bench = DekkerCas();
   SafetyVerifier verifier(bench.system);
   VerifierOptions opts;
   opts.backend = Backend::kDatalog;
   opts.datalog.threads = 1;
   VerifierOptions full = opts;
   const Verdict complete = verifier.Run(std::nullopt, full);
+  ASSERT_EQ(complete.result, Verdict::Result::kSafe);
   opts.time_budget_ms = 1;
   const Verdict v = verifier.Run(std::nullopt, opts);
   EXPECT_EQ(v.result, Verdict::Result::kUnknown);

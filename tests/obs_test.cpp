@@ -283,9 +283,9 @@ TEST(TelemetryTest, VerdictPhaseGaugesAndAccessors) {
 }
 
 // The Datalog backend splits phase.solve_ms into its per-guess layers.
-// Serially they are disjoint intervals of the solve, so they add up to at
-// most phase.solve_ms; the parallel driver reports thread-time under the
-// *_cpu_ms names instead.
+// At one thread they are disjoint intervals of the solve, so they add up
+// to at most phase.solve_ms; with a pool the driver reports thread-time
+// under the *_cpu_ms names instead.
 TEST(TelemetryTest, DatalogLayerGaugesSplitTheSolve) {
   namespace metric = obs::metric;
   const char* serial[] = {metric::kPhaseEnumerateMs, metric::kPhaseMakepMs,

@@ -7,10 +7,13 @@
 // and fact_reuses are the two documented exceptions (they depend on which
 // guesses a worker happens to see) and are excluded.
 //
-// Also pins the streaming enumerator to the legacy vector API: a
-// DisGuessCursor must yield exactly the EnumerateDisGuesses sequence.
+// Also pins the sink enumeration to the vector API: the sink must receive
+// exactly the EnumerateDisGuesses sequence, and a sink that returns false
+// must stop the search.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "core/benchmarks.h"
 #include "encoding/datalog_verifier.h"
 #include "encoding/dis_guess.h"
+#include "lang/parser.h"
 #include "lang/random_program.h"
 
 namespace rapar {
@@ -169,22 +173,14 @@ TEST(ParallelDifferentialTest, CursorYieldsTheVectorSequence) {
     const std::vector<DisGuess> all =
         EnumerateDisGuesses(sys, opts, &complete);
 
-    DisGuessCursor cursor(sys, opts, /*buffer_capacity=*/64);
     std::vector<DisGuess> streamed;
-    std::vector<DisGuess> chunk;
-    // Ragged chunk sizes so chunk boundaries move around.
-    std::size_t want = 1;
-    for (;;) {
-      chunk.clear();
-      const std::size_t n = cursor.NextChunk(want, &chunk);
-      if (n == 0) break;
-      ASSERT_LE(n, want) << bench.name;
-      for (DisGuess& g : chunk) streamed.push_back(std::move(g));
-      want = want % 7 + 1;
-    }
-    ASSERT_TRUE(cursor.exhausted()) << bench.name;
-    EXPECT_EQ(cursor.complete(), complete) << bench.name;
-    EXPECT_EQ(cursor.produced(), all.size()) << bench.name;
+    const bool streamed_complete = EnumerateDisGuesses(
+        sys, opts, [&](std::size_t index, DisGuess&& g) {
+          EXPECT_EQ(index, streamed.size()) << bench.name;
+          streamed.push_back(std::move(g));
+          return true;
+        });
+    EXPECT_EQ(streamed_complete, complete) << bench.name;
     ASSERT_EQ(streamed.size(), all.size()) << bench.name;
     for (std::size_t i = 0; i < all.size(); ++i) {
       ASSERT_EQ(streamed[i].ToString(sys), all[i].ToString(sys))
@@ -194,21 +190,56 @@ TEST(ParallelDifferentialTest, CursorYieldsTheVectorSequence) {
 }
 
 TEST(ParallelDifferentialTest, CursorCancelStopsProduction) {
-  // peterson-ra has 29 guesses; with a buffer of 4 and 2 consumed the
-  // producer is still blocked mid-enumeration when Cancel() lands, so
-  // complete() is deterministically false.
+  // peterson-ra has 29 guesses; a sink that refuses the third one must
+  // stop the search right there and report it incomplete.
   BenchmarkCase bench = PetersonRa();
   const SimplSystem& sys = bench.system.simpl();
-  GuessEnumOptions opts;
-  DisGuessCursor cursor(sys, opts, /*buffer_capacity=*/4);
-  std::vector<DisGuess> chunk;
-  ASSERT_GT(cursor.NextChunk(2, &chunk), 0u);
-  cursor.Cancel();
-  chunk.clear();
-  EXPECT_EQ(cursor.NextChunk(16, &chunk), 0u);
-  EXPECT_TRUE(cursor.exhausted());
-  EXPECT_FALSE(cursor.complete());
-  EXPECT_LT(cursor.produced(), 29u);
+  std::size_t produced = 0;
+  const bool complete = EnumerateDisGuesses(
+      sys, GuessEnumOptions{},
+      [&produced](std::size_t, DisGuess&&) { return ++produced < 3; });
+  EXPECT_FALSE(complete);
+  EXPECT_EQ(produced, 3u);
+  EXPECT_LT(produced, 29u);
+}
+
+std::string ReadExample(const std::string& name) {
+  std::ifstream in(std::string(RAPAR_EXAMPLES_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// At one thread the scan has no scheduling at all: two runs report the
+// same counters, and every chunk but the last is full, so the batch count
+// follows from the solve count.
+TEST(ParallelDifferentialTest, OneThreadRunsAreReproducible) {
+  Expected<Program> env = ParseProgram(ReadExample("dekker_env.rap"));
+  Expected<Program> dis0 = ParseProgram(ReadExample("dekker.rap"));
+  Expected<Program> dis1 = ParseProgram(ReadExample("dekker1.rap"));
+  ASSERT_TRUE(env.ok() && dis0.ok() && dis1.ok());
+  Expected<ParamSystem> sys = ParamSystem::Builder()
+                                  .Env(std::move(env).value())
+                                  .Dis(std::move(dis0).value())
+                                  .Dis(std::move(dis1).value())
+                                  .Build();
+  ASSERT_TRUE(sys.ok()) << sys.error();
+  DatalogVerifierOptions opts;
+  opts.threads = 1;
+  const DatalogVerdict a = DatalogVerify(sys.value().simpl(), opts);
+  const DatalogVerdict b = DatalogVerify(sys.value().simpl(), opts);
+  ExpectIdentical(a, b, "dekker");
+  EXPECT_EQ(a.index_builds, b.index_builds);
+  EXPECT_EQ(a.fact_reuses, b.fact_reuses);
+  EXPECT_EQ(a.parallel.threads, 1u);
+  EXPECT_EQ(a.parallel.batches, b.parallel.batches);
+  EXPECT_EQ(a.parallel.solves, b.parallel.solves);
+  EXPECT_EQ(a.parallel.skipped, b.parallel.skipped);
+  EXPECT_EQ(a.parallel.discarded, 0u);
+  ASSERT_GT(a.queries_evaluated, opts.batch_size);  // more than one chunk
+  EXPECT_EQ(a.parallel.solves, a.queries_evaluated);
+  EXPECT_EQ(a.parallel.batches,
+            (a.queries_evaluated + opts.batch_size - 1) / opts.batch_size);
 }
 
 }  // namespace

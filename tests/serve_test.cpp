@@ -7,9 +7,13 @@
 // SafetyVerifier run — and ordered concurrent Run().
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <streambuf>
@@ -242,6 +246,59 @@ TEST(ServeTest, ErrorEnvelopes) {
   EXPECT_EQ(session.cache_stats().misses, 0u);
 }
 
+// A program read from a file reports a parse error by field, line and
+// column only: the daemon must not echo the contents of a file a request
+// names. Inline program text keeps the full caret rendering.
+TEST(ServeTest, FileParseErrorsDoNotEchoContents) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("rapar_serve_test_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string secret = (dir / "secret.txt").string();
+  {
+    std::ofstream out(secret);
+    out << "secret-token-XYZ\n";
+  }
+  JsonWriter env_file;
+  env_file.BeginObject();
+  env_file.Key("command").String("verify");
+  env_file.Key("env_file").String(secret);
+  env_file.EndObject();
+  JsonWriter dis_files;
+  dis_files.BeginObject();
+  dis_files.Key("command").String("verify");
+  dis_files.Key("env").String(kMpWriter);
+  dis_files.Key("dis_files").BeginArray();
+  dis_files.String(secret);
+  dis_files.EndArray();
+  dis_files.EndObject();
+
+  serve::ServeSession session(Opts(1));
+  const struct {
+    std::string line;
+    const char* expect;
+  } cases[] = {
+      {env_file.TakeString(), "env_file: parse error at line 1, column 1"},
+      {dis_files.TakeString(),
+       "dis_files[0]: parse error at line 1, column 1"},
+  };
+  for (const auto& c : cases) {
+    const std::string response = session.HandleLine(c.line);
+    const JsonValue doc = Parse(response);
+    EXPECT_EQ(Str(doc, "command"), "error") << response;
+    EXPECT_EQ(Str(doc, "error"), c.expect) << response;
+    EXPECT_EQ(response.find("secret"), std::string::npos) << response;
+  }
+  std::filesystem::remove_all(dir);
+
+  const JsonValue inline_error = Parse(session.HandleLine(
+      "{\"command\":\"verify\",\"env\":\"secret-token-XYZ\"}"));
+  EXPECT_NE(Str(inline_error, "error").find("env: expected 'program'"),
+            std::string::npos);
+  EXPECT_NE(Str(inline_error, "error").find("1 | secret-token-XYZ"),
+            std::string::npos);
+}
+
 // Clients cannot lift the daemon's ceilings: an unlimited time budget
 // and a threads value outside 1..hardware concurrency are decode errors;
 // the bounds themselves are accepted.
@@ -367,70 +424,89 @@ TEST(ServeTest, CertificateReplaysByteIdentical) {
             Reemit(first.Find("certificate")));
 }
 
-// The tentpole differential: the whole standard benchmark catalog served
-// twice. Every first-pass verdict must match a one-shot SafetyVerifier
-// run bit-for-bit on verdict/witness/bound/certificate; every
-// second-pass response must be a cache hit whose envelope is identical
-// to the first modulo telemetry.
+// The whole standard benchmark catalog served twice, once per backend
+// arm: the default (simplified) backend and the Datalog backend. Every
+// first-pass verdict must match a one-shot SafetyVerifier run
+// bit-for-bit on verdict/witness/bound/certificate; every second-pass
+// response must be a cache hit whose envelope is identical to the first
+// modulo telemetry. A Datalog request runs the one-shot pipeline, so its
+// engine counters match the one-shot run too.
 TEST(ServeTest, CatalogReplayDifferential) {
   std::vector<BenchmarkCase> suite = StandardBenchmarks();
-  serve::ServeSession session(Opts(1));
-
-  std::vector<std::string> lines;
-  std::vector<std::string> first_pass;
-  for (const BenchmarkCase& bench : suite) {
-    RequestSpec spec;
-    spec.env = bench.system.env_program().ToString();
-    for (const Program& dis : bench.system.dis_programs()) {
-      spec.dis.push_back(dis.ToString());
-    }
-    spec.options_json = "{\"time_budget_ms\":60000}";
-    lines.push_back(RequestLine(spec));
-  }
-
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    const std::string response = session.HandleLine(lines[i]);
-    const JsonValue doc = Parse(response);
-    EXPECT_EQ(Str(doc, "cache"), "miss") << suite[i].name;
-    ASSERT_NE(Str(doc, "verdict"), "unknown") << suite[i].name;
-
-    // One-shot oracle: same options, fresh verifier.
+  for (const bool datalog : {false, true}) {
+    const std::string arm = datalog ? "datalog" : "default";
+    serve::ServeSession session(Opts(1));
     VerifierOptions opts;
     opts.time_budget_ms = 60'000;
-    SafetyVerifier verifier(suite[i].system);
-    const Verdict oracle = verifier.Run(std::nullopt, opts);
-    EXPECT_EQ(Str(doc, "verdict"), VerdictName(oracle.result))
-        << suite[i].name;
-    const JsonValue* witness = doc.Find("witness");
-    ASSERT_NE(witness, nullptr) << suite[i].name;
-    if (oracle.witness.empty()) {
-      EXPECT_TRUE(witness->is_null()) << suite[i].name;
-    } else {
-      EXPECT_EQ(witness->string, oracle.witness) << suite[i].name;
+    std::string options_json = "{\"time_budget_ms\":60000}";
+    if (datalog) {
+      opts.backend = Backend::kDatalog;
+      opts.max_guesses = 30'000;
+      options_json =
+          "{\"time_budget_ms\":60000,\"backend\":\"datalog\","
+          "\"max_guesses\":30000}";
     }
-    const JsonValue* bound = doc.Find("env_thread_bound");
-    ASSERT_NE(bound, nullptr) << suite[i].name;
-    if (oracle.env_thread_bound.has_value()) {
-      EXPECT_EQ(bound->integer, *oracle.env_thread_bound) << suite[i].name;
-    } else {
-      EXPECT_TRUE(bound->is_null()) << suite[i].name;
-    }
-    EXPECT_EQ(doc.Find("certificate") != nullptr,
-              oracle.certificate != nullptr)
-        << suite[i].name;
-    first_pass.push_back(response);
-  }
 
-  // Second pass: 100% hits, byte-identical envelopes modulo telemetry.
-  for (std::size_t i = 0; i < suite.size(); ++i) {
-    const JsonValue replay = Parse(session.HandleLine(lines[i]));
-    EXPECT_EQ(Str(replay, "cache"), "hit") << suite[i].name;
-    EXPECT_EQ(StripVolatile(replay), StripVolatile(Parse(first_pass[i])))
-        << suite[i].name;
+    std::vector<std::string> lines;
+    std::vector<std::string> first_pass;
+    for (const BenchmarkCase& bench : suite) {
+      RequestSpec spec;
+      spec.env = bench.system.env_program().ToString();
+      for (const Program& dis : bench.system.dis_programs()) {
+        spec.dis.push_back(dis.ToString());
+      }
+      spec.options_json = options_json;
+      lines.push_back(RequestLine(spec));
+    }
+
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      const std::string label = arm + " " + suite[i].name;
+      const std::string response = session.HandleLine(lines[i]);
+      const JsonValue doc = Parse(response);
+      EXPECT_EQ(Str(doc, "cache"), "miss") << label;
+      ASSERT_NE(Str(doc, "verdict"), "unknown") << label;
+
+      // One-shot oracle: same options, fresh verifier.
+      SafetyVerifier verifier(suite[i].system);
+      const Verdict oracle = verifier.Run(std::nullopt, opts);
+      EXPECT_EQ(Str(doc, "verdict"), VerdictName(oracle.result)) << label;
+      const JsonValue* witness = doc.Find("witness");
+      ASSERT_NE(witness, nullptr) << label;
+      if (oracle.witness.empty()) {
+        EXPECT_TRUE(witness->is_null()) << label;
+      } else {
+        EXPECT_EQ(witness->string, oracle.witness) << label;
+      }
+      const JsonValue* bound = doc.Find("env_thread_bound");
+      ASSERT_NE(bound, nullptr) << label;
+      if (oracle.env_thread_bound.has_value()) {
+        EXPECT_EQ(bound->integer, *oracle.env_thread_bound) << label;
+      } else {
+        EXPECT_TRUE(bound->is_null()) << label;
+      }
+      EXPECT_EQ(doc.Find("certificate") != nullptr,
+                oracle.certificate != nullptr)
+          << label;
+      if (datalog) {
+        EXPECT_EQ(Counter(doc, "verify.guesses"), oracle.guesses()) << label;
+        EXPECT_EQ(Counter(doc, "engine.fact_reuses"), oracle.fact_reuses())
+            << label;
+      }
+      first_pass.push_back(response);
+    }
+
+    // Second pass: 100% hits, byte-identical envelopes modulo telemetry,
+    // so a hit answers the one-shot verdict too.
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+      const JsonValue replay = Parse(session.HandleLine(lines[i]));
+      EXPECT_EQ(Str(replay, "cache"), "hit") << arm << " " << suite[i].name;
+      EXPECT_EQ(StripVolatile(replay), StripVolatile(Parse(first_pass[i])))
+          << arm << " " << suite[i].name;
+    }
+    const serve::CacheStats stats = session.cache_stats();
+    EXPECT_EQ(stats.hits, suite.size()) << arm;
+    EXPECT_EQ(stats.misses, suite.size()) << arm;
   }
-  const serve::CacheStats stats = session.cache_stats();
-  EXPECT_EQ(stats.hits, suite.size());
-  EXPECT_EQ(stats.misses, suite.size());
 }
 
 // istream buffer that blocks in underflow until more input is pushed —

@@ -199,6 +199,23 @@ TEST(ShardParityTest, RandomSystemsMergedIdenticalAcrossTwoHundredSeeds) {
   EXPECT_GT(safe_seen, 50);
 }
 
+// One enumerated guess with its global enumeration index.
+struct IndexedGuess {
+  std::size_t index = 0;
+  DisGuess guess;
+};
+
+// The whole (filtered) enumeration of `sys`, as the sink receives it.
+std::vector<IndexedGuess> Stream(const SimplSystem& sys,
+                                 const GuessEnumOptions& o) {
+  std::vector<IndexedGuess> all;
+  EnumerateDisGuesses(sys, o, [&all](std::size_t index, DisGuess&& g) {
+    all.push_back(IndexedGuess{index, std::move(g)});
+    return true;
+  });
+  return all;
+}
+
 TEST(ShardParityTest, ShardsPartitionTheEnumeration) {
   // The residue classes of the stride filter are a partition: the union
   // of per-shard index streams is exactly the full stream, disjointly.
@@ -206,18 +223,7 @@ TEST(ShardParityTest, ShardsPartitionTheEnumeration) {
   const SimplSystem& sys = bench.system.simpl();
   GuessEnumOptions opts;
 
-  const auto stream = [&sys](const GuessEnumOptions& o) {
-    DisGuessCursor cursor(sys, o, /*buffer_capacity=*/64);
-    std::vector<IndexedGuess> all;
-    std::vector<IndexedGuess> chunk;
-    while (cursor.NextChunk(16, &chunk) != 0) {
-      for (IndexedGuess& g : chunk) all.push_back(std::move(g));
-      chunk.clear();
-    }
-    return all;
-  };
-
-  const std::vector<IndexedGuess> full = stream(opts);
+  const std::vector<IndexedGuess> full = Stream(sys, opts);
   ASSERT_GT(full.size(), 20u);
   for (const std::size_t shards : {2u, 3u, 4u}) {
     std::vector<bool> seen(full.size(), false);
@@ -225,7 +231,7 @@ TEST(ShardParityTest, ShardsPartitionTheEnumeration) {
       GuessEnumOptions so = opts;
       so.shard_index = i;
       so.shard_count = shards;
-      for (const IndexedGuess& g : stream(so)) {
+      for (const IndexedGuess& g : Stream(sys, so)) {
         ASSERT_LT(g.index, full.size());
         ASSERT_EQ(g.index % shards, i);
         ASSERT_FALSE(seen[g.index]) << "duplicate index " << g.index;
@@ -243,24 +249,12 @@ TEST(ShardParityTest, ResumeCursorYieldsExactlyTheRemainingSequence) {
   BenchmarkCase bench = PetersonRa();
   const SimplSystem& sys = bench.system.simpl();
   GuessEnumOptions opts;
-  DisGuessCursor full_cursor(sys, opts, /*buffer_capacity=*/64);
-  std::vector<IndexedGuess> full;
-  std::vector<IndexedGuess> chunk;
-  while (full_cursor.NextChunk(16, &chunk) != 0) {
-    for (IndexedGuess& g : chunk) full.push_back(std::move(g));
-    chunk.clear();
-  }
+  const std::vector<IndexedGuess> full = Stream(sys, opts);
 
   for (const std::size_t start : {std::size_t{5}, std::size_t{17}}) {
     GuessEnumOptions ro = opts;
     ro.start_index = start;
-    DisGuessCursor cursor(sys, ro, /*buffer_capacity=*/64);
-    std::vector<IndexedGuess> tail;
-    chunk.clear();
-    while (cursor.NextChunk(16, &chunk) != 0) {
-      for (IndexedGuess& g : chunk) tail.push_back(std::move(g));
-      chunk.clear();
-    }
+    const std::vector<IndexedGuess> tail = Stream(sys, ro);
     ASSERT_EQ(tail.size(), full.size() - start) << start;
     for (std::size_t i = 0; i < tail.size(); ++i) {
       EXPECT_EQ(tail[i].index, full[start + i].index) << start;
@@ -383,10 +377,9 @@ TEST(ShardParityTest, ScanLimitCheckpointResumesToSameVerdictWithoutRescan) {
 }
 
 TEST(ShardParityTest, ParallelScanLimitResumesToSameVerdict) {
-  // Same kill-and-resume contract under the parallel dispatcher: the
-  // checkpoint frontier is conservative (contiguous completed batches),
-  // so the resumed run may redo a ragged tail but must land on the same
-  // verdict and guess count.
+  // Same kill-and-resume contract with a pool of two workers: the
+  // checkpoint closes the contiguous solved prefix, so the resumed run
+  // must land on the same verdict and guess count.
   BenchmarkCase bench = DekkerCas();
   DatalogVerifierOptions base;
   base.guess.max_guesses = 2'000;
